@@ -174,6 +174,24 @@ class ArrayBackend:
         """Input-column gradient ``(oc, F) x (N, oc, P) -> (N, F, P)``."""
         raise NotImplementedError
 
+    def conv2d_grad_input(
+        self,
+        w_mat: np.ndarray,
+        grad_mat: np.ndarray,
+        input_shape: Tuple[int, int, int, int],
+        kernel: IntPair,
+        stride: IntPair,
+        padding: IntPair,
+    ) -> np.ndarray:
+        """Input gradient ``(oc, F) x (N, oc, P) -> (N, C, H, W)`` of a conv.
+
+        The default folds the full input-column gradient back into the
+        image; a fast backend may fuse the two steps, but must return the
+        same bits as this composition on its own kernels.
+        """
+        cols = self.conv2d_grad_cols(w_mat, grad_mat)
+        return self.col2im(cols, input_shape, kernel, stride, padding)
+
     # ------------------------------------------------------------------ #
     # integer GEMM kernels (the serving hot path)
     # ------------------------------------------------------------------ #

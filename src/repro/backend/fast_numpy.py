@@ -1,14 +1,22 @@
 """Vectorized NumPy backend: the default for training and benchmarks.
 
-Three ideas buy the speedup over the reference backend:
+Four ideas buy the speedup over the reference backend:
 
-* **Strided patch extraction** — ``im2col`` materialises all convolution
-  windows with one ``as_strided`` view plus a single bulk copy instead of a
-  Python loop per output position; pooling windows stay a zero-copy view.
-  The serving-path channel-major columns go one step further and are filled
-  *directly* from the unpadded input with ``kh*kw`` strided slice copies,
-  skipping the padded-input scratch entirely (the zero border is an
-  invariant of the column buffer).
+* **Direct column fills** — every column builder (``im2col`` in both modes
+  and the serving-path batch- and channel-major columns) is filled
+  straight from the unpadded input with ``kh*kw`` strided slice copies from
+  the memoised :meth:`_window_slices` table, instead of a Python loop per
+  output position or a padded copy of the input.  Padding positions are
+  never written, so the zero border is an invariant of the zeroed column
+  buffer.  Pooling windows stay a zero-copy ``as_strided`` view.
+* **Col2im-free input gradient** — :meth:`conv2d_grad_input` never builds
+  the full ``(N, F, P)`` input-column gradient.  For stride-1 convs it runs
+  the GEMM a few samples at a time into an offset-major, zero-extended
+  layout in which each kernel offset lands on the padded input gradient as
+  ONE contiguous slice-add per sample; a fold pays NumPy's per-row cost on
+  every image row of every plane for every offset.  Strided convs scatter
+  through the same window table as the fill.  Both give the bits of
+  ``col2im(conv2d_grad_cols(...))``.
 * **BLAS dispatch** — the conv forward/backward contractions are expressed
   as (batched) ``matmul`` calls so they hit BLAS instead of ``einsum``'s
   generic C loop; the serving kernels additionally accept a
@@ -18,10 +26,11 @@ Three ideas buy the speedup over the reference backend:
 * **Scratch-buffer & geometry caching** — per (shape, kernel, stride,
   padding) signature the output geometry is memoised and, when the caller
   signals the columns are transient (``reuse=True``, i.e. no autograd
-  closure captures them), the padded-input and column buffers are recycled
-  across iterations.  Scratch buffers are **thread-local**: two engines (or
-  a server's worker threads) running on the shared backend instance can
-  never alias each other's ``i2c``/``i2c_cm`` scratch.
+  closure captures them), the column buffers are recycled across
+  iterations, as are the input-gradient kernel's chunk buffers.  Scratch
+  buffers are **thread-local**: two engines (or a server's worker threads,
+  or two trainers) running on the shared backend instance can never alias
+  each other's scratch.
 
 The LUT kernels (:meth:`lut_conv2d_cm` / :meth:`lut_linear`) implement the
 codebook route: per output channel the packed code indices partition the
@@ -122,37 +131,6 @@ class FastNumpyBackend(ArrayBackend):
     # ------------------------------------------------------------------ #
     # convolution kernels
     # ------------------------------------------------------------------ #
-    def _padded_input(self, x: np.ndarray, ph: int, pw: int, reuse: bool) -> np.ndarray:
-        if not (ph or pw):
-            return x
-        n, c, h, w = x.shape
-        shape = (n, c, h + 2 * ph, w + 2 * pw)
-        if reuse:
-            # The key must include the padding amounts: two geometries can
-            # share a padded shape while writing different interiors, and a
-            # mismatched reuse would expose stale data as the zero border.
-            # With (ph, pw) pinned, the border is zeroed at allocation and
-            # stays zero because only the interior is ever assigned.
-            key = ("pad", shape, ph, pw, x.dtype)
-            padded = self._scratch_buffer(key, shape, x.dtype, zero_on_alloc=True)
-            padded[:, :, ph : ph + h, pw : pw + w] = x
-            return padded
-        return self.pad2d(x, ph, pw)
-
-    def _window_view(
-        self, x: np.ndarray, kernel: IntPair, stride: IntPair, oh: int, ow: int
-    ) -> np.ndarray:
-        n, c = x.shape[:2]
-        kh, kw = kernel
-        sh, sw = stride
-        s = x.strides
-        return np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, kh, kw, oh, ow),
-            strides=(s[0], s[1], s[2], s[3], s[2] * sh, s[3] * sw),
-            writeable=False,
-        )
-
     def im2col(
         self,
         x: np.ndarray,
@@ -161,18 +139,33 @@ class FastNumpyBackend(ArrayBackend):
         padding: IntPair,
         reuse: bool = False,
     ) -> Tuple[np.ndarray, IntPair]:
-        n, c, _, _ = x.shape
-        kh, kw = kernel
-        oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
-        padded = self._padded_input(x, padding[0], padding[1], reuse)
-        windows = self._window_view(padded, kernel, stride, oh, ow)
-        shape = (n, c, kh, kw, oh, ow)
+        geometry = self._output_geometry(x.shape, kernel, stride, padding)
         if reuse:
-            cols = self._scratch_buffer(("i2c", shape, x.dtype), shape, x.dtype)
-        else:
-            cols = np.empty(shape, dtype=x.dtype)
-        np.copyto(cols, windows)
-        return cols.reshape(n, c * kh * kw, oh * ow), (oh, ow)
+            return self._nchw_columns(x, kernel, stride, padding), geometry
+        # The caller keeps these columns (an autograd closure), so they get
+        # a fresh zeroed buffer; the fill is the same direct slice copy.
+        n, c, h, w = x.shape
+        kh, kw = kernel
+        oh, ow = geometry
+        cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
+        for i, j, oi, oj, ri, rj in self._window_slices(h, w, oh, ow, kernel, stride, padding):
+            cols[:, :, i, j, oi, oj] = x[:, :, ri, rj]
+        return cols.reshape(n, c * kh * kw, oh * ow), geometry
+
+    def _scatter_windows(self, cols: np.ndarray, out: np.ndarray, kernel: IntPair,
+                         stride: IntPair, padding: IntPair) -> None:
+        """Add ``cols`` (m, c*kh*kw, oh*ow) into the (m, c, h, w) image ``out``.
+
+        The adjoint of the direct column fill: one strided slice-add per
+        in-bounds kernel offset, straight into the unpadded image, in the
+        same offset order as a padded fold (so the sums are bitwise equal).
+        """
+        m, c, h, w = out.shape
+        kh, kw = kernel
+        oh, ow = self._output_geometry(out.shape, kernel, stride, padding)
+        cols6 = cols.reshape(m, c, kh, kw, oh, ow)
+        for i, j, oi, oj, ri, rj in self._window_slices(h, w, oh, ow, kernel, stride, padding):
+            out[:, :, ri, rj] += cols6[:, :, i, j, oi, oj]
 
     def col2im(
         self,
@@ -182,17 +175,75 @@ class FastNumpyBackend(ArrayBackend):
         stride: IntPair,
         padding: IntPair,
     ) -> np.ndarray:
+        image = np.zeros(input_shape, dtype=cols.dtype)
+        self._scatter_windows(cols, image, kernel, stride, padding)
+        return image
+
+    def conv2d_grad_input(
+        self,
+        w_mat: np.ndarray,
+        grad_mat: np.ndarray,
+        input_shape: Tuple[int, int, int, int],
+        kernel: IntPair,
+        stride: IntPair,
+        padding: IntPair,
+    ) -> np.ndarray:
+        if stride != (1, 1):
+            # Strided kernel offsets do not map to one shift of the image, so
+            # the grad-cols are scattered window by window, straight into
+            # the unpadded gradient.  Chunking measured slower here: the
+            # scatter's cost is per call and per row, not per byte.
+            grad_input = np.zeros(input_shape, dtype=np.result_type(w_mat.dtype, grad_mat.dtype))
+            self._scatter_windows(np.matmul(w_mat.T, grad_mat), grad_input, kernel, stride, padding)
+            return grad_input
+        # Stride 1: the grad-cols value of kernel offset (i, j) at output
+        # (row, col) adds to padded input (row + i, col + j).  Each sample's
+        # grad-cols are laid out offset-major, (kh*kw, c, hp, wp), with rows
+        # zero-extended from ow to wp and planes from oh to hp, so offset
+        # (i, j) is ONE contiguous run per sample, added onto the padded
+        # image shifted by i*wp + j.  NumPy adds a contiguous run at memory
+        # speed but pays per row for a strided one.  Where a run crosses a
+        # row or plane edge it adds extension zeros, which change no bit,
+        # and what it cuts off at the image end is zeros too.  Extension
+        # entries are zeroed at allocation and never written (the keys pin
+        # the geometry).  The offset-major weight keeps conv2d_grad_cols'
+        # transposed BLAS call, so every value is computed as before.
+        # Chunks of a few samples keep a chunk's grad-cols cache resident
+        # between GEMM and scatter; per-sample GEMMs are independent, so
+        # chunking changes no bit.
         n, c, h, w = input_shape
         kh, kw = kernel
-        sh, sw = stride
         ph, pw = padding
         oh, ow = self._output_geometry(input_shape, kernel, stride, padding)
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-        cols6 = cols.reshape(n, c, kh, kw, oh, ow)
-        # kh*kw vectorized slice-adds instead of oh*ow scalar-window adds.
-        for i in range(kh):
-            for j in range(kw):
-                padded[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols6[:, :, i, j]
+        oc, fan_in = w_mat.shape
+        dtype = np.result_type(w_mat.dtype, grad_mat.dtype)
+        step = self._CONV_CHUNK_SAMPLES
+        hp, wp = h + 2 * ph, w + 2 * pw
+        kk = kh * kw
+        image_size = c * hp * wp
+        w_t = np.ascontiguousarray(w_mat.reshape(oc, c, kk).transpose(0, 2, 1)).reshape(oc, fan_in).T
+        padded = np.zeros((n, image_size), dtype=dtype)
+        ext_shape = (step, oc, oh, wp)
+        ext = self._scratch_buffer(
+            ("gi_ext", ext_shape, ow, grad_mat.dtype.str), ext_shape, grad_mat.dtype,
+            zero_on_alloc=True,
+        )
+        shape = (step, kk, image_size)
+        cols = self._scratch_buffer(
+            ("gi_cols", shape, (c, hp, wp, oh), dtype.str), shape, dtype, zero_on_alloc=True
+        )
+        products = cols.reshape(step, fan_in, hp * wp)[:, :, : oh * wp]
+        grad4 = grad_mat.reshape(n, oc, oh, ow)
+        for s in range(0, n, step):
+            m = min(step, n - s)
+            ext[:m, :, :, :ow] = grad4[s : s + m]
+            np.matmul(w_t, ext[:m].reshape(m, oc, oh * wp), out=products[:m])
+            images = padded[s : s + m]
+            for i in range(kh):
+                for j in range(kw):
+                    start = i * wp + j
+                    images[:, start:] += cols[:m, i * kw + j, : image_size - start]
+        padded = padded.reshape(n, c, hp, wp)
         if ph or pw:
             return padded[:, :, ph : ph + h, pw : pw + w]
         return padded

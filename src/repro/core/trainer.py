@@ -132,6 +132,7 @@ def evaluate_model(model, loader, engine=None) -> Tuple[float, float]:
     criterion = CrossEntropyLoss()
     if engine is None:
         engine = InferenceEngine(model)
+    was_training = model.training
     model.eval()
     losses: List[float] = []
     correct = 0
@@ -143,7 +144,7 @@ def evaluate_model(model, loader, engine=None) -> Tuple[float, float]:
             predictions = logits.data.argmax(axis=-1)
             correct += int((predictions == targets).sum())
             total += len(targets)
-    model.train()
+    model.train(was_training)
     if total == 0:
         return 0.0, 0.0
     return float(np.mean(losses)), correct / total

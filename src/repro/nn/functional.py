@@ -131,8 +131,9 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if x.requires_grad:
-            grad_cols = backend.conv2d_grad_cols(w_mat, grad_mat)
-            x._accumulate(backend.col2im(grad_cols, x.data.shape, (kh, kw), stride, padding))
+            x._accumulate(
+                backend.conv2d_grad_input(w_mat, grad_mat, x.data.shape, (kh, kw), stride, padding)
+            )
 
     return _result(out, parents, backward)
 
@@ -231,38 +232,45 @@ def batch_norm(
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.data.ndim}-D")
 
+    count = x.data.size // x.data.shape[1]
     if training:
-        mean, var = backend.moments(x.data, axes)
-        count = x.data.size / x.data.shape[1]
+        # The centred input is computed once and serves both the variance
+        # (the same reduction np.var runs, so the same bits) and x_hat.
+        mean = x.data.mean(axis=axes)
+        centred = x.data - mean.reshape(shape)
+        var = np.square(centred).sum(axis=axes) / count
         unbiased = var * count / max(count - 1.0, 1.0)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        mean = running_mean
+        centred = x.data - running_mean.reshape(shape)
         var = running_var
 
     inv_std = 1.0 / backend.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
+    x_hat = np.multiply(centred, inv_std.reshape(shape), out=centred)
+    out = gamma.data.reshape(shape) * x_hat
+    out += beta.data.reshape(shape)
 
     def backward(grad: np.ndarray) -> None:
+        sum_gx = (grad * x_hat).sum(axis=axes)
+        sum_g = grad.sum(axis=axes)
         if gamma.requires_grad:
-            gamma._accumulate((grad * x_hat).sum(axis=axes))
+            gamma._accumulate(sum_gx)
         if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=axes))
+            beta._accumulate(sum_g)
         if not x.requires_grad:
             return
-        g = gamma.data.reshape(shape)
         if training:
-            dxhat = grad * g
-            term1 = dxhat
-            term2 = dxhat.mean(axis=axes, keepdims=True)
-            term3 = x_hat * (dxhat * x_hat).mean(axis=axes, keepdims=True)
-            dx = (term1 - term2 - term3) * inv_std.reshape(shape)
+            # dx = gamma * inv_std * (g - sum(g)/m - x_hat * sum(g * x_hat)/m),
+            # built in place from the two sums dgamma and dbeta already took.
+            dx = x_hat * (sum_gx / count).reshape(shape)
+            np.subtract(grad, dx, out=dx)
+            dx -= (sum_g / count).reshape(shape)
+            dx *= (gamma.data * inv_std).reshape(shape)
         else:
-            dx = grad * g * inv_std.reshape(shape)
+            dx = grad * gamma.data.reshape(shape) * inv_std.reshape(shape)
         x._accumulate(dx)
 
     return _result(out, (x, gamma, beta), backward)

@@ -91,6 +91,24 @@ class TestEvaluation:
         evaluate_model(tiny_model, tiny_test_loader)
         assert tiny_model.training
 
+    def test_eval_mode_model_stays_in_eval_mode(self, tiny_model, tiny_test_loader):
+        """Evaluating a served (eval-mode) model must not re-arm BatchNorm updates."""
+        from repro.nn import Tensor, no_grad
+        from repro.nn.modules import BatchNorm2d
+
+        tiny_model.eval()
+        evaluate_model(tiny_model, tiny_test_loader)
+        assert not tiny_model.training
+        norms = [m for m in tiny_model.modules() if isinstance(m, BatchNorm2d)]
+        assert norms
+        before = [(m.running_mean.copy(), m.running_var.copy()) for m in norms]
+        inputs, _ = next(iter(tiny_test_loader))
+        with no_grad():
+            tiny_model(Tensor(inputs))
+        for m, (mean, var) in zip(norms, before):
+            np.testing.assert_array_equal(m.running_mean, mean)
+            np.testing.assert_array_equal(m.running_var, var)
+
     def test_skipping_per_epoch_evaluation(self, tiny_model, tiny_train_loader, tiny_test_loader):
         config = BMPQConfig(
             epochs=2,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import urllib.request
 
 import numpy as np
@@ -240,7 +241,15 @@ class TestHealthAndAlertEndpoints:
         server.predict("simple", rng.standard_normal((3, 12, 12)).astype(np.float32))
         with MetricsExporter(server) as exporter:
             base = exporter.url.replace("/metrics", "")
-            document = _get_json(base + "/health")
+            # The worker observes health after it resolves the caller's
+            # future, so the observation may land just after predict returns.
+            deadline = time.monotonic() + 5.0
+            while True:
+                document = _get_json(base + "/health")
+                drift = document["models"].get("simple", {}).get("drift", {})
+                if drift.get("observations") or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
         assert "simple" in document["models"]
         assert document["models"]["simple"]["drift"]["observations"] == 1
 
