@@ -192,6 +192,41 @@ class ArrayBackend:
         cols = self.conv2d_grad_cols(w_mat, grad_mat)
         return self.col2im(cols, input_shape, kernel, stride, padding)
 
+    def conv2d_forward(
+        self,
+        x: np.ndarray,
+        w_mat: np.ndarray,
+        kernel: IntPair,
+        stride: IntPair,
+        padding: IntPair,
+    ) -> np.ndarray:
+        """Convolution ``(oc, F) x (N, C, H, W) -> (N, oc, oh*ow)``.
+
+        The default unfolds ``x`` and multiplies; a fast backend may fuse the
+        two steps so the full column tensor never exists, but must return
+        the same bits as this composition on its own kernels.
+        """
+        cols, _ = self.im2col(x, kernel, stride, padding, reuse=True)
+        return self.conv2d_cols(w_mat, cols)
+
+    def conv2d_grad_weight_from_input(
+        self,
+        x: np.ndarray,
+        grad_mat: np.ndarray,
+        kernel: IntPair,
+        stride: IntPair,
+        padding: IntPair,
+    ) -> np.ndarray:
+        """Weight gradient ``(N, oc, P) x (N, C, H, W) -> (oc, F)`` of a conv.
+
+        Re-derives the columns from the layer input, so the autograd graph
+        keeps ``x`` instead of the ``kh*kw`` times larger column tensor.  The
+        default unfolds and reduces; a fast backend may fuse the two steps,
+        but must return the same bits as this composition on its own kernels.
+        """
+        cols, _ = self.im2col(x, kernel, stride, padding, reuse=True)
+        return self.conv2d_grad_weight(grad_mat, cols)
+
     # ------------------------------------------------------------------ #
     # integer GEMM kernels (the serving hot path)
     # ------------------------------------------------------------------ #

@@ -1,6 +1,6 @@
 """Vectorized NumPy backend: the default for training and benchmarks.
 
-Four ideas buy the speedup over the reference backend:
+Five ideas buy the speedup over the reference backend:
 
 * **Direct column fills** — every column builder (``im2col`` in both modes
   and the serving-path batch- and channel-major columns) is filled
@@ -9,6 +9,15 @@ Four ideas buy the speedup over the reference backend:
   output position or a padded copy of the input.  Padding positions are
   never written, so the zero border is an invariant of the zeroed column
   buffer.  Pooling windows stay a zero-copy ``as_strided`` view.
+* **One chunked column loop** — :meth:`_conv_chunks` fills a few samples'
+  columns into one chunk-sized buffer, zeroed once, and hands each chunk
+  to a GEMM while it is cache-resident.  Compiled plans' :meth:`int_conv2d`
+  walks it on arena buffers; the training kernels :meth:`conv2d_forward`
+  and :meth:`conv2d_grad_weight_from_input` walk it on thread-local
+  scratch, so training never builds (or keeps in its autograd graph) the
+  full ``(N, F, P)`` column tensor: the weight gradient re-fills each
+  chunk from the layer input.  Pointwise convs skip the fill.  Both
+  training kernels give the bits of their ``im2col`` compositions.
 * **Col2im-free input gradient** — :meth:`conv2d_grad_input` never builds
   the full ``(N, F, P)`` input-column gradient.  For stride-1 convs it runs
   the GEMM a few samples at a time into an offset-major, zero-extended
@@ -24,13 +33,13 @@ Four ideas buy the speedup over the reference backend:
   preallocated arena buffers (``matmul(..., out=)``) and steady-state
   inference allocates nothing.
 * **Scratch-buffer & geometry caching** — per (shape, kernel, stride,
-  padding) signature the output geometry is memoised and, when the caller
-  signals the columns are transient (``reuse=True``, i.e. no autograd
-  closure captures them), the column buffers are recycled across
-  iterations, as are the input-gradient kernel's chunk buffers.  Scratch
+  padding) signature the output geometry is memoised and the column and
+  chunk buffers are recycled across iterations (``im2col`` only when the
+  caller signals the columns are transient, ``reuse=True``).  Scratch
   buffers are **thread-local**: two engines (or a server's worker threads,
-  or two trainers) running on the shared backend instance can never alias
-  each other's scratch.
+  two trainers, or a trainer and the autograd engine's weight-gradient
+  thread) running on the shared backend instance can never alias each
+  other's scratch.
 
 The LUT kernels (:meth:`lut_conv2d_cm` / :meth:`lut_linear`) implement the
 codebook route: per output channel the packed code indices partition the
@@ -248,6 +257,55 @@ class FastNumpyBackend(ArrayBackend):
             return padded[:, :, ph : ph + h, pw : pw + w]
         return padded
 
+    def conv2d_forward(
+        self,
+        x: np.ndarray,
+        w_mat: np.ndarray,
+        kernel: IntPair,
+        stride: IntPair,
+        padding: IntPair,
+    ) -> np.ndarray:
+        # The chunked schedule of compiled plans, on thread-local scratch:
+        # per-sample GEMMs are independent, so each chunk's product lands
+        # bit for bit where the whole-batch matmul would put it.
+        n = x.shape[0]
+        oc, fan_in = w_mat.shape
+        oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
+        out = np.empty((n, oc, oh * ow), dtype=np.result_type(w_mat.dtype, x.dtype))
+        step = self._conv_chunk_samples(n, fan_in, oh * ow)
+        for s, cols in self._conv_chunks(x, kernel, stride, padding, step):
+            np.matmul(w_mat, cols, out=out[s : s + step])
+        return out
+
+    def conv2d_grad_weight_from_input(
+        self,
+        x: np.ndarray,
+        grad_mat: np.ndarray,
+        kernel: IntPair,
+        stride: IntPair,
+        padding: IntPair,
+    ) -> np.ndarray:
+        # Re-fill each chunk's columns from ``x`` and reduce its per-sample
+        # products.  ``np.sum`` over the leading axis adds samples in order,
+        # so carrying the running total into a chunk's first product makes
+        # the chunked sums the bits of the whole-batch ``.sum(axis=0)``.
+        n, c = x.shape[:2]
+        oc = grad_mat.shape[1]
+        kh, kw = kernel
+        fan_in = c * kh * kw
+        dtype = np.result_type(grad_mat.dtype, x.dtype)
+        step = self._conv_chunk_samples(n, fan_in, grad_mat.shape[2])
+        shape = (step, oc, fan_in)
+        products = self._scratch_buffer(("gw_prod", shape, dtype.str), shape, dtype)
+        grad_w = np.zeros((oc, fan_in), dtype=dtype)
+        for s, cols in self._conv_chunks(x, kernel, stride, padding, step):
+            chunk = products[: cols.shape[0]]
+            np.matmul(grad_mat[s : s + step], cols.transpose(0, 2, 1), out=chunk)
+            if s:
+                chunk[0] += grad_w
+            np.sum(chunk, axis=0, out=grad_w)
+        return grad_w
+
     def conv2d_cols(self, w_mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # (oc, F) @ (N, F, P) broadcasts to batched BLAS -> (N, oc, P).
         return np.matmul(w_mat, cols)
@@ -291,13 +349,13 @@ class FastNumpyBackend(ArrayBackend):
     # at every spatial size — and lose once the fan-in is large enough for
     # one wide sgemm to pay off.
     _BATCHED_MAX_FAN_IN = 192
-    # Chunked batched schedule (arena path only): fill a few samples'
-    # columns, multiply, repeat.  The chunk's column block stays
+    # Chunked batched schedule (compiled plans and training): fill a few
+    # samples' columns, multiply, repeat.  The chunk's column block stays
     # cache-resident for its GEMM instead of streaming the whole batch's
-    # columns through memory twice, and the arena reuses one chunk-sized
-    # buffer for every chunk of every same-geometry conv.  Only worth it
-    # when the column block is big enough to spill cache (wide-ish fan-in
-    # at many output positions); tiny fills are dominated by call overhead.
+    # columns through memory twice, and one chunk-sized buffer serves every
+    # chunk of every same-geometry conv.  Only worth it when the column
+    # block is big enough to spill cache (wide-ish fan-in at many output
+    # positions); tiny fills are dominated by call overhead.
     _CONV_CHUNK_SAMPLES = 4
     _CONV_CHUNK_MIN_FAN_IN = 64
     _CONV_CHUNK_MIN_POSITIONS = 256
@@ -396,22 +454,13 @@ class FastNumpyBackend(ArrayBackend):
             xb = rng.standard_normal((nb, cb, hwb, hwb)).astype(np.float32)
             xb_cm = np.ascontiguousarray(xb.transpose(1, 0, 2, 3))
             accb = np.empty((nb, cb, hwb * hwb), dtype=np.float32)
-            chunked = (
-                cb * 9 >= self._CONV_CHUNK_MIN_FAN_IN
-                and hwb * hwb >= self._CONV_CHUNK_MIN_POSITIONS
-            )
+            step = self._conv_chunk_samples(nb, cb * 9, hwb * hwb)
 
-            def batched_kernel(xb=xb, wb=wb, accb=accb, chunked=chunked):
+            def batched_kernel(xb=xb, wb=wb, accb=accb, step=step):
                 # Mirror the compiled plan's schedule: chunked when the
                 # geometry qualifies, monolithic otherwise.
-                if chunked:
-                    step = self._CONV_CHUNK_SAMPLES
-                    for s in range(0, nb, step):
-                        cols = self._nchw_columns(xb[s : s + step], kernel, stride, padding)
-                        np.matmul(wb, cols, out=accb[s : s + step])
-                else:
-                    cols = self._nchw_columns(xb, kernel, stride, padding)
-                    np.matmul(wb, cols, out=accb)
+                for s, cols in self._conv_chunks(xb, kernel, stride, padding, step):
+                    np.matmul(wb, cols, out=accb[s : s + step])
 
             def cm_kernel(xb_cm=xb_cm, wb=wb):
                 self.int_conv2d_cm(xb_cm, wb, kernel, stride, padding)
@@ -508,12 +557,61 @@ class FastNumpyBackend(ArrayBackend):
             cols[:, :, i, j, oi, oj] = x[:, :, ri, rj]
         return cols.reshape(n, c * kh * kw, oh * ow)
 
+    def _conv_chunk_samples(self, n: int, fan_in: int, positions: int) -> int:
+        """Samples per chunk of the batch-major schedule (the whole batch if unchunked)."""
+        if (
+            n > self._CONV_CHUNK_SAMPLES
+            and fan_in >= self._CONV_CHUNK_MIN_FAN_IN
+            and positions >= self._CONV_CHUNK_MIN_POSITIONS
+        ):
+            return self._CONV_CHUNK_SAMPLES
+        return max(n, 1)
+
+    def _conv_chunks(self, x: np.ndarray, kernel: IntPair, stride: IntPair, padding: IntPair,
+                     step: int, workspace=None, key=None):
+        """Yield ``(start, cols)``: the ``(m, c*kh*kw, oh*ow)`` columns of each
+        run of ``step`` samples of ``x``, in sample order.
+
+        The one column loop of the batch-major kernels (compiled plans'
+        :meth:`int_conv2d`, the training forward and the weight gradient).
+        Every chunk is filled into one chunk-sized buffer — the plan's arena
+        with a ``workspace``, thread-local scratch without — that is zeroed
+        once and keeps its zero border, so the full ``(N, F, P)`` column
+        tensor never exists when ``step < N``.  A pointwise conv's columns
+        ARE the (strided) input: no fill, the chunks are views.  The buffer
+        is overwritten by the next chunk, so consume each before advancing.
+        """
+        n, c, h, w = x.shape
+        kh, kw = kernel
+        oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
+        if (kh, kw) == (1, 1) and padding == (0, 0):
+            sh, sw = stride
+            sub = x if (sh, sw) == (1, 1) else x[:, :, ::sh, ::sw]
+            cols = self._pointwise_cols(sub, workspace, key).reshape(n, c, oh * ow)
+            for s in range(0, n, step):
+                yield s, cols[s : s + step]
+            return
+        shape = (step, c, kh, kw, oh, ow)
+        buffer_key = ("i2c_nb", shape, stride, padding, (h, w), x.dtype.str)
+        if workspace is not None:
+            buffer = workspace.buffer(buffer_key, shape, x.dtype, zero_on_alloc=True)
+        else:
+            buffer = self._scratch_buffer(buffer_key, shape, x.dtype, zero_on_alloc=True)
+        cols = buffer.reshape(step, c * kh * kw, oh * ow)
+        slices = self._window_slices(h, w, oh, ow, kernel, stride, padding)
+        for s in range(0, n, step):
+            xs = x[s : s + step]
+            m = xs.shape[0]
+            for i, j, oi, oj, ri, rj in slices:
+                buffer[:m, :, i, j, oi, oj] = xs[:, :, ri, rj]
+            yield s, cols[:m]
+
     def _pointwise_cols(self, sub: np.ndarray, workspace=None, key=None) -> np.ndarray:
-        """2-D column view/copy for a 1x1 convolution's (strided) input."""
-        c = sub.shape[0]
+        """2-D column view/copy ``(lead, rest)`` of a 1x1 convolution's
+        (strided) input, channel- or batch-major."""
+        shape = (sub.shape[0], int(np.prod(sub.shape[1:])))
         if sub.flags["C_CONTIGUOUS"]:
-            return sub.reshape(c, -1)
-        shape = (c, int(np.prod(sub.shape[1:])))
+            return sub.reshape(shape)
         if workspace is not None and key is not None:
             buf = workspace.buffer((key, "pw", shape, sub.dtype.str), shape, sub.dtype)
         else:
@@ -537,8 +635,7 @@ class FastNumpyBackend(ArrayBackend):
         # runs at the same precision as the float forward pass while hitting
         # (batched) sgemm instead of the float64 einsum reference.
         n = x.shape[0]
-        oc = w_mat.shape[0]
-        kh, kw = kernel
+        oc, fan_in = w_mat.shape
         oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
         # A workspace caller is a compiled plan that already chose this
         # conv's layout (see InferencePlan's fan-in split) — serve the
@@ -550,66 +647,16 @@ class FastNumpyBackend(ArrayBackend):
                 scale=scale, bias=bias,
             )
             return np.ascontiguousarray(out_cm.transpose(1, 0, 2, 3))
-        if (kh, kw) == (1, 1) and padding == (0, 0):
-            # Batch-major pointwise: the column tensor IS the (strided)
-            # input — skip the window fill.
-            sh, sw = stride
-            sub = x if (sh, sw) == (1, 1) else x[:, :, ::sh, ::sw]
-            if sub.flags["C_CONTIGUOUS"]:
-                cols = sub.reshape(n, sub.shape[1], oh * ow)
-            else:
-                shape = (n, sub.shape[1], oh * ow)
-                if workspace is not None and key is not None:
-                    cols = workspace.buffer((key, "pw_nb", shape, sub.dtype.str), shape, sub.dtype)
-                else:
-                    cols = self._scratch_buffer(("pw_nb", shape, sub.dtype), shape, sub.dtype)
-                np.copyto(cols.reshape(sub.shape), sub)
-        elif (
-            workspace is not None
-            and key is not None
-            and n > self._CONV_CHUNK_SAMPLES
-            and x.shape[1] * kh * kw >= self._CONV_CHUNK_MIN_FAN_IN
-            and oh * ow >= self._CONV_CHUNK_MIN_POSITIONS
-        ):
-            # Chunked schedule: per-sample GEMMs are independent, so chunk
-            # slicing is bitwise-identical to the monolithic batched matmul.
-            # The chunk buffer and slice list are hoisted out of the loop —
-            # at a handful of samples per chunk the per-call bookkeeping is
-            # no longer negligible against the fill itself.
-            step = self._CONV_CHUNK_SAMPLES
-            c, h, w = x.shape[1], x.shape[2], x.shape[3]
-            out_dtype = np.result_type(w_mat.dtype, x.dtype)
-            acc = workspace.buffer(
-                (key, "acc", (n, oc, oh * ow), out_dtype.str), (n, oc, oh * ow), out_dtype
-            )
-            shape = (step, c, kh, kw, oh, ow)
-            cols = workspace.buffer(
-                ("i2c_nb", shape, stride, padding, (h, w), x.dtype.str),
-                shape, x.dtype, zero_on_alloc=True,
-            )
-            mat = cols.reshape(step, c * kh * kw, oh * ow)
-            slices = self._window_slices(h, w, oh, ow, kernel, stride, padding)
-            for s in range(0, n - step + 1, step):
-                xs = x[s : s + step]
-                for i, j, oi, oj, ri, rj in slices:
-                    cols[:, :, i, j, oi, oj] = xs[:, :, ri, rj]
-                np.matmul(w_mat, mat, out=acc[s : s + step])
-            tail = n % step
-            if tail:
-                tcols = self._nchw_columns(x[n - tail :], kernel, stride, padding, workspace)
-                np.matmul(w_mat, tcols, out=acc[n - tail :])
-            self._scale_bias_inplace(acc, scale, bias, channel_axis=1)
-            return acc.reshape(n, oc, oh, ow)
-        else:
-            cols = self._nchw_columns(x, kernel, stride, padding, workspace)
+        shape = (n, oc, oh * ow)
+        out_dtype = np.result_type(w_mat.dtype, x.dtype)
         if workspace is not None and key is not None:
-            out_dtype = np.result_type(w_mat.dtype, cols.dtype)
-            acc = workspace.buffer(
-                (key, "acc", (n, oc, oh * ow), out_dtype.str), (n, oc, oh * ow), out_dtype
-            )
-            np.matmul(w_mat, cols, out=acc)  # (N, oc, P) batched BLAS
+            acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+            step = self._conv_chunk_samples(n, fan_in, oh * ow)
         else:
-            acc = np.matmul(w_mat, cols)
+            acc = np.empty(shape, dtype=out_dtype)
+            step = max(n, 1)
+        for s, cols in self._conv_chunks(x, kernel, stride, padding, step, workspace, key):
+            np.matmul(w_mat, cols, out=acc[s : s + step])  # (m, oc, P) batched BLAS
         self._scale_bias_inplace(acc, scale, bias, channel_axis=1)
         return acc.reshape(n, oc, oh, ow)
 

@@ -109,14 +109,14 @@ def conv2d(
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ic}")
 
-    # The backward closure captures ``cols``, so the backend may only recycle
-    # its scratch buffer when no graph is being recorded.
-    requires = is_grad_enabled() and (
-        x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    )
-    cols, (oh, ow) = backend.im2col(x.data, (kh, kw), stride, padding, reuse=not requires)
+    # The graph keeps the input, not its kh*kw times larger columns: the
+    # weight gradient re-derives them, off the input-gradient critical path.
+    x_data = x.data
+    w_shape = weight.data.shape
+    oh = conv_output_size(h, kh, stride[0], padding[0])
+    ow = conv_output_size(w, kw, stride[1], padding[1])
     w_mat = weight.data.reshape(oc, -1)
-    out = backend.conv2d_cols(w_mat, cols)
+    out = backend.conv2d_forward(x_data, w_mat, (kh, kw), stride, padding)
     if bias is not None:
         out = out + bias.data.reshape(1, oc, 1)
     out = out.reshape(n, oc, oh, ow)
@@ -126,8 +126,11 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(n, oc, oh * ow)
         if weight.requires_grad:
-            grad_w = backend.conv2d_grad_weight(grad_mat, cols)
-            weight._accumulate(grad_w.reshape(weight.data.shape))
+            weight._accumulate_deferred(
+                lambda: backend.conv2d_grad_weight_from_input(
+                    x_data, grad_mat, (kh, kw), stride, padding
+                ).reshape(w_shape)
+            )
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if x.requires_grad:

@@ -26,8 +26,10 @@ autograd graph in one place.
 
 from __future__ import annotations
 
+import os
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +73,41 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return ``True`` when tensors currently record a backward graph."""
     return _GRAD_MODE.enabled
+
+
+# Gradients a closure defers (see ``Tensor._accumulate_deferred``) run on one
+# background thread, so a conv's weight gradient overlaps the input-gradient
+# chain that everything else waits on.  Per thread, a running ``backward()``
+# keeps its queue of pending gradients here: tensor -> entries in
+# accumulation order (futures, and inline gradients that arrived after one).
+class _DeferredGrads(threading.local):
+    def __init__(self) -> None:
+        self.pending: Optional[Dict["Tensor", List]] = None
+
+
+_DEFERRED = _DeferredGrads()
+_EXECUTOR: Optional[ThreadPoolExecutor] = None
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _grad_executor() -> ThreadPoolExecutor:
+    global _EXECUTOR
+    if _EXECUTOR is None:
+        with _EXECUTOR_LOCK:
+            if _EXECUTOR is None:
+                _EXECUTOR = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-grad")
+    return _EXECUTOR
+
+
+def _reset_executor_after_fork() -> None:
+    # A forked child inherits the executor object but not its thread.
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR = None
+    _EXECUTOR_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_executor_after_fork)
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -213,16 +250,69 @@ class Tensor:
         if not self.requires_grad:
             return
         grad = unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        pending = _DEFERRED.pending
+        if pending is not None and self in pending:
+            # Queue behind the deferred gradient, keeping the summation order.
+            pending[self].append(grad.copy())
+            return
+        self._add_grad(grad)
+
+    def _add_grad(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.copy()
         else:
             self.grad += grad
+
+    def _accumulate_deferred(self, compute: Callable[[], np.ndarray]) -> None:
+        """Accumulate ``compute()``, off the calling thread inside ``backward()``.
+
+        Inside a running :meth:`backward` the gradient is computed on the
+        background gradient thread and added when the backward joins it;
+        called anywhere else (a closure run directly) it is computed inline.
+        """
+        if not self.requires_grad:
+            return
+        pending = _DEFERRED.pending
+        if pending is None:
+            self._accumulate(compute())
+            return
+        pending.setdefault(self, []).append(_grad_executor().submit(compute))
+
+    @staticmethod
+    def _join_deferred(pending: Dict["Tensor", List]) -> None:
+        """Add every queued gradient in order; re-raise the first failure."""
+        error: Optional[Exception] = None
+        for tensor, entries in pending.items():
+            for entry in entries:
+                try:
+                    grad = entry.result() if isinstance(entry, Future) else entry
+                except Exception as exc:  # re-raised below, once every entry is done
+                    error = error or exc
+                    continue
+                if error is None:
+                    tensor._add_grad(
+                        unbroadcast(np.asarray(grad, dtype=tensor.data.dtype), tensor.data.shape)
+                    )
+        pending.clear()
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------ #
     # backward pass
     # ------------------------------------------------------------------ #
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
+
+        Closures run in reverse topological order on the calling thread,
+        except the gradients they defer (a conv's weight gradient): those
+        run on one background thread while the input-gradient chain goes
+        on.  A node with a deferred gradient still pending is held back,
+        and so is every node it feeds.  After the chain the deferred
+        gradients are joined and added — each tensor sums its gradients in
+        the same order as a fully inline pass, so the bits match — and the
+        held-back nodes then run in their original order.
+        ``backward()`` returns with every ``.grad`` set; an exception raised
+        on the gradient thread is re-raised here.
 
         Parameters
         ----------
@@ -261,9 +351,28 @@ class Tensor:
         build(self)
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        previous = _DEFERRED.pending
+        pending: Dict[Tensor, List] = {}
+        _DEFERRED.pending = pending
+        try:
+            nodes = topo[::-1]
+            while nodes:
+                held: List[Tensor] = []
+                blocked = set()
+                for node in nodes:
+                    if node in pending or node in blocked:
+                        held.append(node)
+                        blocked.update(node._parents)
+                    elif node._backward is not None and node.grad is not None:
+                        node._backward(node.grad)
+                self._join_deferred(pending)
+                nodes = held
+        finally:
+            for entries in pending.values():
+                for entry in entries:
+                    if isinstance(entry, Future):
+                        entry.cancel()
+            _DEFERRED.pending = previous
 
     # ------------------------------------------------------------------ #
     # arithmetic

@@ -316,6 +316,9 @@ def spawn_worker(
     on the handle.  ``start_method="spawn"`` gives every worker a pristine
     interpreter (no inherited locks or BLAS thread state); ``"fork"`` boots
     faster when the parent is known to be single-threaded at spawn time.
+    A parent that has run ``Tensor.backward()`` through a convolution is
+    not: the autograd engine keeps its weight-gradient thread alive for the
+    rest of the process, so after training prefer ``"spawn"``.
     """
     context = multiprocessing.get_context(start_method)
     router_end, worker_end = worker_socketpair()
