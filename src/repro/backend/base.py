@@ -362,56 +362,6 @@ class ArrayBackend:
         return acc.astype(np.float32)
 
     # ------------------------------------------------------------------ #
-    # LUT/codebook integer kernels (gather+sum instead of multiply)
-    # ------------------------------------------------------------------ #
-    def lut_conv2d_cm(
-        self,
-        x_cm: np.ndarray,
-        packed,
-        codebook: np.ndarray,
-        kernel: IntPair,
-        stride: IntPair,
-        padding: IntPair,
-        bias=None,
-        workspace=None,
-        key=None,
-    ) -> np.ndarray:
-        """Codebook/LUT convolution in channel-major layout.
-
-        ``packed`` is a :class:`~repro.quant.packing.PackedCodes` (uint8 code
-        planes + bucket plan) and ``codebook`` the ``(oc, K)`` table of real
-        values each code index decodes to — the quantizer scale and any
-        folded BatchNorm gain are baked into the table, so the kernel's
-        output needs only the per-channel ``bias`` afterwards.
-
-        The reference semantics, kept here (and therefore in
-        :class:`~repro.backend.numpy_backend.NumpyBackend`), decode the
-        packed indices through the codebook into an effective weight matrix
-        and run the float64 einsum of :meth:`int_conv2d` — exact for any
-        table, which is what the parity suite certifies the fast
-        gather+sum implementation against.
-        """
-        w_eff = np.take_along_axis(
-            np.asarray(codebook, dtype=np.float64),
-            packed.indices().astype(np.intp),
-            axis=1,
-        )
-        x = np.ascontiguousarray(np.moveaxis(x_cm, 0, 1))
-        out = self.int_conv2d(x, w_eff, kernel, stride, padding, scale=None, bias=bias)
-        return np.ascontiguousarray(np.moveaxis(out, 1, 0))
-
-    def lut_linear(
-        self, x: np.ndarray, packed, codebook: np.ndarray, bias=None, workspace=None, key=None
-    ) -> np.ndarray:
-        """Codebook/LUT fully connected layer (reference: decode + float64 GEMM)."""
-        w_eff = np.take_along_axis(
-            np.asarray(codebook, dtype=np.float64),
-            packed.indices().astype(np.intp),
-            axis=1,
-        )
-        return self.int_linear(x, w_eff, scale=None, bias=bias)
-
-    # ------------------------------------------------------------------ #
     # pooling kernels
     # ------------------------------------------------------------------ #
     def pool_windows(

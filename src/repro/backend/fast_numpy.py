@@ -41,16 +41,6 @@ Five ideas buy the speedup over the reference backend:
   thread) running on the shared backend instance can never alias each
   other's scratch.
 
-The LUT kernels (:meth:`lut_conv2d_cm` / :meth:`lut_linear`) implement the
-codebook route: per output channel the packed code indices partition the
-fan-in into at most K buckets (K = 3 for ternary rows), each bucket's input
-rows are gathered and summed once, and the output is the tiny
-``codebook_row @ bucket_sums`` product — gather+sum instead of multiply,
-with zero-valued codewords skipped outright.  Against BLAS sgemm this wins
-only when the alphabet is tiny and sparse, which is why compiled plans pick
-the route per layer by *measurement* (``REPRO_KERNEL_ROUTE=measure``)
-rather than by assumption.
-
 The numbers produced are identical to :class:`NumpyBackend` up to float32
 summation order; ``tests/backend/test_backend_parity.py`` pins the
 tolerance.
@@ -714,106 +704,6 @@ class FastNumpyBackend(ArrayBackend):
             acc = np.matmul(x, w.T)
         self._scale_bias_inplace(acc, scale, bias, channel_axis=acc.ndim - 1)
         return acc
-
-    # ------------------------------------------------------------------ #
-    # LUT/codebook integer kernels
-    # ------------------------------------------------------------------ #
-    def _lut_accumulate(
-        self,
-        cols2d: np.ndarray,
-        packed,
-        codebook: np.ndarray,
-        bias,
-        workspace,
-        key,
-    ) -> np.ndarray:
-        """Shared gather+sum contraction: ``out[o] = codebook[o] @ bucket_sums``.
-
-        Per output channel the bucket plan's stable permutation groups the
-        fan-in rows of ``cols2d`` by code index; each non-empty bucket whose
-        codebook value is non-zero is gathered once (``np.take`` into a
-        reused buffer) and summed, and the channel's output row is one
-        ``(1, nk) @ (nk, P)`` product over the bucket sums.  For ternary
-        rows this is bit-plane accumulation: two buckets, no multiplies
-        inside the contraction.
-        """
-        F, P = cols2d.shape
-        oc = packed.rows
-        K = packed.num_codewords
-        perm, starts = packed.bucket_plan()
-        dt = cols2d.dtype
-
-        def get(buf_key, shape):
-            if workspace is not None:
-                return workspace.buffer(buf_key, shape, dt)
-            return self._scratch_buffer(buf_key, shape, dt)
-
-        out2d = get((key, "lut_acc", (oc, P), dt.str), (oc, P))
-        gather = get(("lut_gather", (F, P), dt.str), (F, P))
-        sums = get(("lut_sums", (K, P), dt.str), (K, P))
-        values = get(("lut_values", (K,), dt.str), (K,))
-        table = codebook if codebook.dtype == dt else codebook.astype(dt)
-        for o in range(oc):
-            row_perm = perm[o]
-            row_starts = starts[o]
-            nk = 0
-            for k in range(K):
-                lo, hi = int(row_starts[k]), int(row_starts[k + 1])
-                value = table[o, k]
-                if hi == lo or value == 0:
-                    continue  # empty bucket, or a codeword that decodes to 0
-                segment = gather[: hi - lo]
-                np.take(cols2d, row_perm[lo:hi], axis=0, out=segment)
-                np.sum(segment, axis=0, out=sums[nk])
-                values[nk] = value
-                nk += 1
-            if nk == 0:
-                out2d[o] = 0
-            else:
-                np.matmul(values[:nk][None, :], sums[:nk], out=out2d[o : o + 1])
-        self._scale_bias_inplace(out2d, None, bias, channel_axis=0)
-        return out2d
-
-    def lut_conv2d_cm(
-        self,
-        x_cm: np.ndarray,
-        packed,
-        codebook: np.ndarray,
-        kernel: IntPair,
-        stride: IntPair,
-        padding: IntPair,
-        bias=None,
-        workspace=None,
-        key=None,
-    ) -> np.ndarray:
-        c, n = x_cm.shape[:2]
-        kh, kw = kernel
-        sh, sw = stride
-        oh, ow = self._output_geometry((n, c) + x_cm.shape[2:], kernel, stride, padding)
-        if (kh, kw) == (1, 1) and padding == (0, 0):
-            sub = x_cm if (sh, sw) == (1, 1) else x_cm[:, :, ::sh, ::sw]
-            cols2d = self._pointwise_cols(sub, workspace, key)
-        else:
-            cols2d = self._cm_columns(x_cm, kernel, stride, padding, workspace)
-        out2d = self._lut_accumulate(cols2d, packed, codebook, bias, workspace, key)
-        return out2d.reshape(packed.rows, n, oh, ow)
-
-    def lut_linear(
-        self, x: np.ndarray, packed, codebook: np.ndarray, bias=None, workspace=None, key=None
-    ) -> np.ndarray:
-        # Work transposed so each channel's bucket sums reduce contiguous
-        # rows: cols2d is (in_features, N), the output lands as (out, N)
-        # and is handed back as its (N, out) view.
-        xt = x.T
-        if not xt.flags["C_CONTIGUOUS"]:
-            if workspace is not None and key is not None:
-                buf = workspace.buffer((key, "xt", xt.shape, xt.dtype.str), xt.shape, xt.dtype)
-                np.copyto(buf, xt)
-                xt = buf
-            else:
-                xt = np.ascontiguousarray(xt)
-        out2d = self._lut_accumulate(xt, packed, codebook, bias, workspace, key)
-        return out2d.T
 
     # ------------------------------------------------------------------ #
     # pooling kernels

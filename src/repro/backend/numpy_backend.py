@@ -83,15 +83,13 @@ class NumpyBackend(ArrayBackend):
         return np.einsum("of,nop->nfp", w_mat, grad_mat)
 
     # ------------------------------------------------------------------ #
-    # integer / LUT kernels
+    # integer kernels
     # ------------------------------------------------------------------ #
-    # Deliberately inherited from ArrayBackend: ``int_conv2d`` / ``int_linear``
-    # accumulate in float64 (exact for codes up to 16 bits), and the LUT
-    # kernels (``lut_conv2d_cm`` / ``lut_linear``) decode the packed code
-    # indices through the per-channel codebook and run that same float64
-    # einsum.  These ARE the reference semantics the serving-parity harness
-    # certifies the fast backend's gather+sum LUT route against — keeping
-    # them here, unoverridden, is the point.
+    # Deliberately inherited from ArrayBackend: ``int_conv2d`` /
+    # ``int_conv2d_cm`` / ``int_linear`` accumulate in float64 (exact for
+    # codes up to 16 bits).  These ARE the reference semantics the
+    # serving-parity harness certifies the fast backend's float32 GEMM
+    # kernels against — keeping them here, unoverridden, is the point.
 
     # ------------------------------------------------------------------ #
     # pooling kernels

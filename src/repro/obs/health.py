@@ -6,7 +6,7 @@ of mixed-precision PACT-quantized inference that the paper's whole premise
 rests on.  Three independent probes, composable through :class:`ModelHealth`:
 
 * :class:`QuantHealthTap` — per-layer activation statistics read inside the
-  plan's tapped mirror loop (see :meth:`InferencePlan.set_health_tap`):
+  plan's observed loop (see :meth:`InferencePlan.set_health_tap`):
   PACT clip/saturation ratio against each layer's learned alpha, zero
   fraction, activation-range occupancy, and the integer-accumulator headroom
   a 32-bit deployment accumulator would have left.  The tap only *reads*
@@ -73,16 +73,17 @@ class _LayerStats:
 
 
 class QuantHealthTap:
-    """Per-layer quantization health read from a plan's tapped mirror loop.
+    """Per-layer quantization health read from a plan's observed loop.
 
     Attach with :meth:`InferenceEngine.enable_health_tap` (or directly via
     :meth:`InferencePlan.set_health_tap`).  The plan calls :meth:`begin_run`
     once per run — a deterministic ``1/sample_every`` counter decides whether
     this run is observed — and, on sampled runs, :meth:`observe` after every
-    step.  Only steps carrying a fused PACT activation (``_alpha``) are
-    recorded; for integer-mode GEMM steps the accumulator-headroom estimate
-    is also updated from the static weight-code row sums times the observed
-    input magnitude.
+    step, next to the plan's step profiler when that is on.  Only steps
+    carrying a fused PACT activation (``_alpha``) are recorded; for
+    integer-mode GEMM steps the accumulator-headroom estimate is also
+    updated from the static weight-code row sums times the observed input
+    magnitude.
 
     The tap never writes to step outputs, so tapped serving is
     bitwise-identical to untapped serving by construction.
@@ -102,7 +103,7 @@ class QuantHealthTap:
         # row sums once per tap lifetime is the right cost.
         self._acc_bounds: Dict[str, float] = {}
 
-    # -- called from the plan's mirror loop (engine-serialised) ---------- #
+    # -- called from the plan's observed loop (engine-serialised) -------- #
     def begin_run(self) -> bool:
         """Advance the run counter; True when this run should be observed."""
         with self._lock:
@@ -112,8 +113,11 @@ class QuantHealthTap:
                 self._sampled_runs += 1
         return sampled
 
-    def observe(self, step, inputs, out) -> None:
-        """Record one step's output stats (sampled runs only; read-only)."""
+    def observe(self, step, inputs, out, seconds: float = 0.0) -> None:
+        """Record one step's output stats (sampled runs only; read-only).
+
+        ``seconds`` is the step's run time, which the tap does not use.
+        """
         alpha = getattr(step, "_alpha", None)
         if alpha is None or not isinstance(out, np.ndarray) or out.size == 0:
             return

@@ -1,36 +1,22 @@
-"""Bit-packed weight codes and per-channel codebooks for the LUT kernels.
+"""Bit-packed weight codes: the storage format of a deployed checkpoint.
 
-The quantizers emit signed integer *codes* per weight (Eq. 3-5); the GEMM
-serving path re-encodes them as float32 and multiplies.  The LUT path
-instead ships each layer as
-
-* **packed code planes** — one ``uint8`` matrix per layer holding the
-  code *indices* (``code + offset``) bit-packed at the smallest width the
-  alphabet needs: 2 bits per code for ternary (2-bit) rows, 4-bit nibbles
-  for 3/4-bit rows, one byte for 5..8-bit rows.  This is the deployable
-  storage format — a 2-bit ResNet layer really occupies 2 bits per weight;
-* **a per-output-channel codebook** — the ``(rows, K)`` table of real
-  values each code index decodes to.  For the uniform quantizers this is
-  the linear ramp ``(k - offset) * scale`` (with any folded BatchNorm gain
-  multiplied in), but the kernels treat it as an arbitrary table.
-
-A LUT kernel never multiplies inside the contraction: per output channel
-it *gathers* the input rows belonging to each codeword (via the
-:meth:`PackedCodes.bucket_plan` permutation computed once at pack time),
-sums each bucket, and takes one tiny ``codebook @ bucket_sums`` product.
-Codewords whose codebook value is exactly zero are skipped outright, which
-for ternary rows degenerates into pure bit-plane accumulation:
-``scale * (S(+1) - S(-1))`` with no multiplies at all.
+The quantizers emit signed integer *codes* per weight (Eq. 3-5).  A
+deployed BMPQ model should store each layer at its assigned precision, so
+:func:`pack_codes` stores the code *indices* (``code + offset``) of one
+layer row-wise in ``uint8`` planes, bit-packed at the smallest width the
+alphabet needs: 2 bits per code for ternary (2-bit) rows, 4-bit nibbles
+for 3/4-bit rows, one byte for 5..8-bit rows.  A 2-bit ResNet layer really
+occupies 2 bits per weight.
 
 Packing is lossless: ``unpack_codes(pack_codes(codes, bits))`` is bitwise
 identical to the (rounded) input codes, which ``tests/quant/test_packing.py``
-pins across widths, odd shapes and the randomized parity generator's
-mixed per-layer bit assignments.
+pins across widths, odd shapes, real layers and the randomized parity
+generator's mixed per-layer bit assignments.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,12 +29,12 @@ _WIDTH_FOR_BITS = {2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
 
 def packable_bits(bits: int) -> bool:
-    """True when ``bits`` has a packed LUT representation (2..8)."""
+    """True when ``bits`` has a packed representation (2..8)."""
     return int(bits) in _WIDTH_FOR_BITS
 
 
 class PackedCodes:
-    """One layer's weight codes, bit-packed row-wise with bucket metadata.
+    """One layer's weight codes, bit-packed row-wise.
 
     ``planes`` is ``(rows, ceil(F/per))`` ``uint8`` where ``per = 8//width``
     indices live in each byte (little-endian within the byte); ``rows`` is
@@ -64,7 +50,6 @@ class PackedCodes:
         "num_codes",
         "offset",
         "_indices",
-        "_bucket_plan",
     )
 
     def __init__(
@@ -77,7 +62,6 @@ class PackedCodes:
         self.num_codes = int(num_codes)  # F: unpacked codes per row
         self.offset = int(offset)
         self._indices: Optional[np.ndarray] = None
-        self._bucket_plan: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def num_codewords(self) -> int:
@@ -103,42 +87,6 @@ class PackedCodes:
     def signed_codes(self) -> np.ndarray:
         """The original signed codes as float32 (``indices - offset``)."""
         return self.indices().astype(np.float32) - np.float32(self.offset)
-
-    def codebook(self, scale) -> np.ndarray:
-        """Linear ``(rows, K)`` codebook ``(k - offset) * scale``.
-
-        ``scale`` is a scalar (the layer's quantizer scale) or a ``(rows,)``
-        per-channel vector (scale with a folded BatchNorm gain multiplied
-        in).  The LUT kernels accept *any* table; this builds the uniform
-        one the repository's quantizers imply.
-        """
-        ramp = np.arange(self.num_codewords, dtype=np.float32) - np.float32(self.offset)
-        scale_arr = np.asarray(scale, dtype=np.float32)
-        if scale_arr.ndim == 0:
-            return np.broadcast_to(ramp * scale_arr, (self.rows, self.num_codewords)).copy()
-        return ramp[None, :] * scale_arr.reshape(-1, 1)
-
-    def bucket_plan(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row gather permutation + codeword segment boundaries (cached).
-
-        Returns ``(perm, starts)``: ``perm[o]`` lists the fan-in positions of
-        row ``o`` stably sorted by code index, and ``starts[o, k]:starts[o, k+1]``
-        slices out codeword ``k``'s segment.  The kernels gather each
-        segment's input rows and sum them — the per-codeword partial sums
-        the codebook is then contracted against.
-        """
-        if self._bucket_plan is None:
-            idx = self.indices()
-            K = self.num_codewords
-            perm = np.empty((self.rows, self.num_codes), dtype=np.intp)
-            starts = np.empty((self.rows, K + 1), dtype=np.intp)
-            for o in range(self.rows):
-                perm[o] = np.argsort(idx[o], kind="stable")
-                counts = np.bincount(idx[o], minlength=K)
-                starts[o, 0] = 0
-                np.cumsum(counts, out=starts[o, 1:])
-            self._bucket_plan = (perm, starts)
-        return self._bucket_plan
 
     def __repr__(self) -> str:
         return (

@@ -103,10 +103,6 @@ class QuantizedLayer(Module):
         self._qcache_key: Optional[Tuple[int, int]] = None
         self._qcache_value: Optional[Tuple[Tensor, QuantizerOutput]] = None
         self._qcache_fingerprint: Optional[Tuple] = None
-        # Packed-code cache (the LUT kernels' operand), keyed like the
-        # quantized-weight cache and invalidated with it.
-        self._pcache_key: Optional[Tuple[int, int]] = None
-        self._pcache_value = None
 
     # ------------------------------------------------------------------ #
     # bit-width management
@@ -152,31 +148,6 @@ class QuantizedLayer(Module):
         self._qcache_key = None
         self._qcache_value = None
         self._qcache_fingerprint = None
-        self._pcache_key = None
-        self._pcache_value = None
-
-    def packed_weight(self):
-        """Bit-packed codes + bucket metadata for the LUT kernels, or ``None``.
-
-        Returns a :class:`~repro.quant.packing.PackedCodes` when the layer's
-        current bit width has a packed representation (2..8 bits); pinned
-        high-precision layers (>= 9 bits) return ``None`` and serve through
-        the GEMM route.  Cached under the same ``(weight version, bits)`` key
-        as the quantized-weight cache, so steady-state serving never re-packs
-        unchanged weights.
-        """
-        from .packing import pack_codes, packable_bits
-
-        if not packable_bits(self._bits):
-            return None
-        key = (self.weight.version, self._bits)
-        if self._pcache_key == key and self._pcache_value is not None:
-            return self._pcache_value
-        _, info = self.quantized_weight()
-        packed = pack_codes(info.codes, self._bits)
-        self._pcache_key = key
-        self._pcache_value = packed
-        return packed
 
     def quantized_weight(self) -> Tuple[Tensor, QuantizerOutput]:
         """Quantize the shadow weights at the current bit width.

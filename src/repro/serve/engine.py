@@ -230,7 +230,8 @@ class InferenceEngine:
         effect immediately on an already-compiled plan and persists across
         recompiles (``_ensure_plan`` re-applies it).  Fallback-path engines
         have no plan steps to tap; the tap simply never observes anything.
-        Served outputs are bitwise-identical with the tap on.
+        The tap and step profiling can be on together.  Served outputs are
+        bitwise-identical with the tap on.
         """
         with self._lock:
             self._health_tap = tap
@@ -445,9 +446,6 @@ class InferenceEngine:
         * the backend's channel-major threshold is calibrated (see
           :meth:`~repro.backend.fast_numpy.FastNumpyBackend.calibrate_cm_max_positions`;
           a ``REPRO_CM_MAX_POSITIONS`` env pin skips measurement);
-        * the kernel route is applied from ``REPRO_KERNEL_ROUTE`` —
-          ``"gemm"`` (default), ``"lut"``, or ``"measure"`` to time both
-          routes per fused step on this machine and keep the winners;
         * the plan's workspace arena is primed with one run at the engine's
           batch size, so steady-state ``predict`` starts at zero
           allocations from the very first request.
@@ -477,16 +475,6 @@ class InferenceEngine:
                     probe = np.zeros(
                         (min(self.batch_size, 64), *tuple(input_shape)), dtype=np.float32
                     )
-                    route = os.environ.get("REPRO_KERNEL_ROUTE", "gemm").strip().lower()
-                    if route == "measure":
-                        self._plan.calibrate_routes(probe)
-                    elif route in ("gemm", "lut"):
-                        self._plan.set_kernel_route(route)
-                    else:
-                        raise ValueError(
-                            f"unknown REPRO_KERNEL_ROUTE {route!r}; "
-                            "use 'gemm', 'lut' or 'measure'"
-                        )
                     # Prime the arena for the serving batch shape.
                     self._plan.run(probe)
         finally:
@@ -533,8 +521,8 @@ class InferenceEngine:
             ),
             "plan": plan_desc,
             # Per-step timings when profiling is on (None otherwise): one
-            # entry per plan step with kind, kernel route, calls, total/mean
-            # milliseconds and share of profiled time.
+            # entry per plan step with kind, backend kernel (route), calls,
+            # total/mean milliseconds and share of profiled time.
             "step_timings": (
                 self._plan.step_timings()
                 if self._plan is not None and self._plan.profile

@@ -64,6 +64,7 @@ wrong numbers.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -450,6 +451,11 @@ class _Step:
     #: step's workspace buffers.
     key: str = ""
 
+    #: Name of the backend GEMM kernel the step calls (``None`` for steps
+    #: that call none); reported as ``route`` by
+    #: :meth:`InferencePlan.step_timings`.
+    backend_kernel: Optional[str] = None
+
     def refresh(self) -> None:  # pragma: no cover - interface
         pass
 
@@ -457,18 +463,14 @@ class _Step:
         raise NotImplementedError
 
 
-class _ToChannelMajor(_Step):
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        # A view is enough: the next conv's patch copy materialises it.
-        return x.transpose(1, 0, 2, 3)
+class _LayoutFlipView(_Step):
+    """Swap the batch and channel axes at a conv stage boundary, as a view.
 
-
-class _ToBatchMajorView(_Step):
-    """Layout flip back to NCHW at a batch-major conv stage boundary.
-
-    Unlike the terminal :class:`_ToBatchMajor`, no copy is made — the next
-    batched conv's direct column fill reads the permuted view, so a
-    channel-major stage hands over to a batch-major one for free.
+    Serves both directions (NCHW -> CNHW and back).  No copy is made: the
+    next convolution's column fill reads the permuted view, so a stage
+    hands over to one of the other layout for free.  The terminal
+    :class:`_ToBatchMajor` copies instead, because its result leaves the
+    plan.
     """
 
     def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
@@ -677,21 +679,10 @@ class _FusedConvStep(_Step):
     convolution: the channel-major single-GEMM kernel for small spatial maps,
     or the batch-major batched-GEMM kernel above the backend's measured
     pure-kernel crossover (``cm_kernel_max_positions``), where N per-sample
-    products beat one wide GEMM.
-
-    Two interchangeable kernel routes, selected by :attr:`route`:
-
-    * ``"gemm"`` (default) — one float32 GEMM over the effective weight
-      matrix.  In float mode the folded BN gain is multiplied straight into
-      the GEMM operand (a fresh array — never in-place, the unfolded matrix
-      is a view of the layer's cached quantized weights), so the hot path
-      skips the per-channel scale pass entirely.
-    * ``"lut"`` — codebook accumulation over the packed integer codes via
-      :meth:`~repro.backend.ArrayBackend.lut_conv2d_cm`.  The per-channel
-      codebook carries the *combined* scale (quantizer scale x folded BN
-      gain), which is the identical effective weight in both plan modes, so
-      the route needs no separate scale pass either.  The LUT kernel is
-      channel-major only, so batch-major steps always serve the GEMM route.
+    products beat one wide GEMM.  In float mode the folded BN gain is
+    multiplied straight into the GEMM operand (a fresh array — never
+    in-place, the unfolded matrix is a view of the layer's cached quantized
+    weights), so the hot path skips the per-channel scale pass entirely.
     """
 
     def __init__(
@@ -707,7 +698,6 @@ class _FusedConvStep(_Step):
         self.act = act
         self.mode = mode
         self.channel_major = channel_major
-        self.route = "gemm"
         self.kernel = conv.kernel_size
         stride = conv.stride
         padding = conv.padding
@@ -716,15 +706,16 @@ class _FusedConvStep(_Step):
         self._w_mat: Optional[np.ndarray] = None
         self._scale = None
         self._bias = None
-        self._packed = None
-        self._codebook = None
         self._relu = False
         self._alpha = None
         self._step = None
 
+    @property
+    def backend_kernel(self) -> str:
+        return "int_conv2d_cm" if self.channel_major else "int_conv2d"
+
     def refresh(self) -> None:
         conv = self.conv
-        info = None
         if isinstance(conv, QuantizedLayer):
             _, info = conv.quantized_weight()
             if self.mode == "integer":
@@ -737,7 +728,6 @@ class _FusedConvStep(_Step):
         self._w_mat = w_mat if w_mat.dtype == np.float32 else w_mat.astype(np.float32)
 
         bias = None if conv.bias is None else conv.bias.data
-        g = None
         if self.bn is not None:
             bn = self.bn
             g = bn.weight.data / np.sqrt(bn.running_var + bn.eps)
@@ -758,63 +748,35 @@ class _FusedConvStep(_Step):
         else:
             self._scale = scale
             self._bias = bias
-
-        self._packed = None
-        self._codebook = None
-        if info is not None:
-            packed = conv.packed_weight()
-            if packed is not None:
-                cb_scale = float(info.scale) if g is None else info.scale * g
-                self._packed = packed
-                self._codebook = packed.codebook(cb_scale)
-        if self._packed is None:
-            self.route = "gemm"
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
     def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        if not self.channel_major:
-            out = backend.int_conv2d(
-                x, self._w_mat, self.kernel, self.stride, self.padding,
-                scale=self._scale, bias=self._bias, workspace=ws, key=self.key,
-            )
-        elif self.route == "lut" and self._packed is not None:
-            out = backend.lut_conv2d_cm(
-                x, self._packed, self._codebook, self.kernel, self.stride, self.padding,
-                bias=self._bias, workspace=ws, key=self.key,
-            )
-        else:
-            out = backend.int_conv2d_cm(
-                x, self._w_mat, self.kernel, self.stride, self.padding,
-                scale=self._scale, bias=self._bias, workspace=ws, key=self.key,
-            )
+        conv = backend.int_conv2d_cm if self.channel_major else backend.int_conv2d
+        out = conv(
+            x, self._w_mat, self.kernel, self.stride, self.padding,
+            scale=self._scale, bias=self._bias, workspace=ws, key=self.key,
+        )
         return _apply_activation_inplace(out, self._relu, self._alpha, self._step)
 
 
 class _FusedLinearStep(_Step):
-    """Linear layer + fused PACT/ReLU on (N, features) activations.
+    """Linear layer + fused PACT/ReLU on (N, features) activations."""
 
-    Carries the same ``"gemm"``/``"lut"`` route pair as the fused conv step;
-    the LUT codebook bakes in the quantizer scale, which is the effective
-    weight in both plan modes.
-    """
+    backend_kernel = "int_linear"
 
     def __init__(self, layer, act: Optional[Module], mode: str) -> None:
         self.layer = layer
         self.act = act
         self.mode = mode
-        self.route = "gemm"
         self._w: Optional[np.ndarray] = None
         self._scale = None
         self._bias = None
-        self._packed = None
-        self._codebook = None
         self._relu = False
         self._alpha = None
         self._step = None
 
     def refresh(self) -> None:
         layer = self.layer
-        info = None
         if isinstance(layer, QuantizedLayer):
             _, info = layer.quantized_weight()
             if self.mode == "integer":
@@ -826,26 +788,12 @@ class _FusedLinearStep(_Step):
         self._w = w if w.dtype == np.float32 else w.astype(np.float32)
         self._scale = scale
         self._bias = None if layer.bias is None else layer.bias.data
-        self._packed = None
-        self._codebook = None
-        if info is not None:
-            packed = layer.packed_weight()
-            if packed is not None:
-                self._packed = packed
-                self._codebook = packed.codebook(float(info.scale))
-        if self._packed is None:
-            self.route = "gemm"
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
     def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        if self.route == "lut" and self._packed is not None:
-            out = backend.lut_linear(
-                x, self._packed, self._codebook, bias=self._bias, workspace=ws, key=self.key
-            )
-        else:
-            out = backend.int_linear(
-                x, self._w, scale=self._scale, bias=self._bias, workspace=ws, key=self.key
-            )
+        out = backend.int_linear(
+            x, self._w, scale=self._scale, bias=self._bias, workspace=ws, key=self.key
+        )
         return _apply_activation_inplace(out, self._relu, self._alpha, self._step)
 
 
@@ -1149,6 +1097,43 @@ def _count_consumers(
 
 
 # --------------------------------------------------------------------------- #
+# run observers
+# --------------------------------------------------------------------------- #
+class _StepProfiler:
+    """Run observer that accumulates each step's time, keyed by step key."""
+
+    def __init__(self) -> None:
+        self.calls: Dict[str, int] = {}
+        self.total_s: Dict[str, float] = {}
+
+    def reset(self) -> None:
+        self.calls.clear()
+        self.total_s.clear()
+
+    def begin_run(self) -> bool:
+        return True
+
+    def observe(self, step: _Step, inputs, out, seconds: float) -> None:
+        key = step.key
+        self.calls[key] = self.calls.get(key, 0) + 1
+        self.total_s[key] = self.total_s.get(key, 0.0) + seconds
+
+
+def _detach(x, ws: Optional[PlanWorkspace]):
+    """A run's result, made caller-owned.
+
+    An arena-backed result is copied out, because the next run overwrites
+    every buffer.  This copy is the one intentional per-run allocation and
+    is excluded from the run_allocations counter by design.  Reference
+    plans (no arena) already return fresh arrays, and a multi-output plan's
+    :class:`_OutputsStep` copies its dict entries itself.
+    """
+    if ws is None or isinstance(x, dict):
+        return x
+    return np.array(x)
+
+
+# --------------------------------------------------------------------------- #
 # the plan
 # --------------------------------------------------------------------------- #
 class InferencePlan:
@@ -1183,23 +1168,22 @@ class InferencePlan:
         self._workspace: Optional[PlanWorkspace] = PlanWorkspace() if optimized else None
         for index, step in enumerate(self.steps):
             step.key = f"s{index}"
-        # Opt-in per-step profiling.  The flag gates run() into a mirror loop
-        # (_run_profiled) so the production path pays nothing — not even a
-        # branch per step.  Accumulators are index-aligned with self.steps;
-        # runs of one plan are serialised by the engine's lock, so plain
-        # floats suffice.
-        self.profile = False
-        self._profile_calls = [0] * len(self.steps)
-        self._profile_total_s = [0.0] * len(self.steps)
-        # Opt-in quantization-health tap (repro.obs.health.QuantHealthTap).
-        # Same mirror-loop discipline as profiling: when set, run() routes to
-        # _run_tapped and the production loop stays branch-free per step.
+        # Opt-in observers: the per-step profiler and a quantization-health
+        # tap.  While any is attached, run() hands each run to the observed
+        # loop; the hot loop itself carries no per-step branch.
+        self._profiler = _StepProfiler()
         self._health_tap = None
+        self._observers: Tuple[object, ...] = ()
 
     @property
     def workspace(self) -> Optional[PlanWorkspace]:
         """The plan-owned buffer arena (``None`` for reference plans)."""
         return self._workspace
+
+    @property
+    def profile(self) -> bool:
+        """True while per-step timing is on (see :meth:`enable_profiling`)."""
+        return self._profiler in self._observers
 
     # ------------------------------------------------------------------ #
     # construction
@@ -1612,12 +1596,9 @@ class InferencePlan:
             if layout == _FLAT:
                 raise PlanTraceError("convolution applied to flattened activations")
             channel_major = cls._conv_channel_major(group.module)
-            if channel_major and layout == _NCHW:
-                steps.append(_ToChannelMajor())
-                layout = _CNHW
-            elif not channel_major and layout == _CNHW:
-                steps.append(_ToBatchMajorView())
-                layout = _NCHW
+            if channel_major != (layout == _CNHW):
+                steps.append(_LayoutFlipView())
+                layout = _CNHW if channel_major else _NCHW
             steps.append(
                 _FusedConvStep(
                     group.module, group.bn, group.act, mode=mode, channel_major=channel_major
@@ -1701,226 +1682,120 @@ class InferencePlan:
             for step in self.steps:
                 step.refresh()
 
-    def run(self, x: np.ndarray, workspace: Optional[PlanWorkspace] = None) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on one raw batch (no autograd, no module dispatch).
 
         Optimized plans route every intermediate through their preallocated
-        arena (``workspace`` overrides the plan-owned one), so a primed
-        steady-state run performs zero array allocations; the returned logits
-        are copied out of the arena and caller-owned.  Concurrent runs of
-        the same plan must be serialised — the engine's per-instance lock
-        does this.  Reference plans replay module forwards, so the model
-        must be in eval mode (the engine guarantees this; call
-        ``model.eval()`` first when running a plan directly).
+        arena, so a primed steady-state run performs zero array allocations;
+        the returned logits are copied out of the arena and caller-owned.
+        Reference plans run the same loop without an arena; they replay
+        module forwards, so the model must be in eval mode (the engine
+        guarantees this; call ``model.eval()`` first when running a plan
+        directly).
+        Concurrent runs of the same plan must be serialised — the engine's
+        per-instance lock does this.
         """
-        if self.profile:
-            return self._run_profiled(x, workspace)
-        if self._health_tap is not None:
-            return self._run_tapped(x, workspace)
+        if self._observers:
+            active = tuple(observer for observer in self._observers if observer.begin_run())
+            if active:
+                return self._run_observed(x, active)
         backend = get_backend()
-        ws = workspace if workspace is not None else self._workspace
+        ws = self._workspace
         state: Dict[str, np.ndarray] = {}
         with no_grad():
-            if ws is None:
-                for step in self.steps:
-                    x = step.run(x, backend, state)
-                return x
-            ws.begin_run()
+            if ws is not None:
+                ws.begin_run()
             for step in self.steps:
                 x = step.run(x, backend, state, ws)
-        # Multi-output plans end in an _OutputsStep whose dict entries are
-        # already copied out of the arena.
-        if isinstance(x, dict):
-            return x
-        # Detach from the arena: the next run overwrites every buffer.  This
-        # copy is the one intentional per-run allocation, and it is excluded
-        # from the run_allocations counter by design — the logits must be
-        # caller-owned by contract.
-        return np.array(x)
+        return _detach(x, ws)
 
-    def _run_profiled(
-        self, x: np.ndarray, workspace: Optional[PlanWorkspace] = None
-    ) -> np.ndarray:
-        """run() with a perf_counter around every step.
+    def _run_observed(self, x: np.ndarray, observers: Tuple[object, ...]) -> np.ndarray:
+        """run() with every step timed and shown to ``observers``.
 
-        A separate mirror of the hot loop rather than an inline branch: the
-        unprofiled path must stay exactly as tight as before the profiler
-        existed.  Timings accumulate across runs until :meth:`reset_profile`.
+        Each observer's ``observe(step, inputs, out, seconds)`` is called
+        after the step completes; ``seconds`` covers ``step.run`` alone, so
+        one observer's work never lands in a step's time.  Observers only
+        read the buffers, so the outputs are bitwise-identical to run()'s.
         """
-        import time as _time
-
         backend = get_backend()
-        ws = workspace if workspace is not None else self._workspace
+        ws = self._workspace
         state: Dict[str, np.ndarray] = {}
-        calls = self._profile_calls
-        totals = self._profile_total_s
-        clock = _time.perf_counter
+        clock = time.perf_counter
         with no_grad():
             if ws is not None:
                 ws.begin_run()
-            for index, step in enumerate(self.steps):
+            for step in self.steps:
                 start = clock()
-                x = step.run(x, backend, state, ws)
-                totals[index] += clock() - start
-                calls[index] += 1
-        if isinstance(x, dict):
-            return x
-        return np.array(x) if ws is not None else x
+                out = step.run(x, backend, state, ws)
+                seconds = clock() - start
+                for observer in observers:
+                    observer.observe(step, x, out, seconds)
+                x = out
+        return _detach(x, ws)
 
-    def _run_tapped(
-        self, x: np.ndarray, workspace: Optional[PlanWorkspace] = None
-    ) -> np.ndarray:
-        """run() with a quantization-health tap observing each step's output.
-
-        A mirror of the hot loop, like :meth:`_run_profiled`: the untapped
-        path must not pay even a branch per step.  The tap decides per run
-        whether to sample; unsampled runs execute the plain loop.  Observing
-        happens strictly after each step completes, reading (never writing)
-        the step's input and output buffers, so the served values are
-        bitwise-identical to an untapped run.
-        """
-        tap = self._health_tap
-        sampled = tap.begin_run()
-        backend = get_backend()
-        ws = workspace if workspace is not None else self._workspace
-        state: Dict[str, np.ndarray] = {}
-        with no_grad():
-            if ws is not None:
-                ws.begin_run()
-            if not sampled:
-                for step in self.steps:
-                    x = step.run(x, backend, state, ws)
-            else:
-                for step in self.steps:
-                    x_in = x
-                    x = step.run(x_in, backend, state, ws)
-                    tap.observe(step, x_in, x)
-        if isinstance(x, dict):
-            return x
-        return np.array(x) if ws is not None else x
+    def _set_observers(self, profile: bool, tap) -> None:
+        self._health_tap = tap
+        self._observers = ((self._profiler,) if profile else ()) + (
+            (tap,) if tap is not None else ()
+        )
 
     def set_health_tap(self, tap) -> None:
         """Attach (or with ``None`` detach) a quantization-health tap.
 
         ``tap`` duck-types :class:`repro.obs.health.QuantHealthTap`
-        (``begin_run()`` / ``observe(step, inputs, out)``).  While attached,
-        run() dispatches to the tapped mirror loop; outputs are unchanged.
+        (``begin_run()`` / ``observe(step, inputs, out, seconds)``).  It
+        observes alongside the step profiler; outputs are unchanged.
         """
-        self._health_tap = tap
+        self._set_observers(self.profile, tap)
 
     def enable_profiling(self, enabled: bool = True) -> None:
         """Switch per-step timing on/off (off by default; see :meth:`step_timings`)."""
-        self.profile = bool(enabled)
+        self._set_observers(bool(enabled), self._health_tap)
 
     def reset_profile(self) -> None:
         """Zero the per-step accumulators."""
-        self._profile_calls = [0] * len(self.steps)
-        self._profile_total_s = [0.0] * len(self.steps)
+        self._profiler.reset()
 
     def step_timings(self) -> List[Dict[str, object]]:
         """Accumulated per-step timings, one entry per plan step in order.
 
-        Each entry carries the step's key/kind, the kernel route it is
-        currently serving (``None`` for route-less steps), how many profiled
-        runs touched it, total/mean milliseconds, and its share of the total
-        profiled time.  Empty accumulators yield zeros, not NaNs.
+        Each entry carries the step's key/kind, the backend kernel it calls
+        as ``route`` (``int_conv2d_cm``, ``int_conv2d``, ``int_linear``, or
+        ``None``), how many profiled runs touched it, total/mean
+        milliseconds, and its share of the total profiled time.  Empty
+        accumulators yield zeros, not NaNs.
         """
-        grand_total = sum(self._profile_total_s)
+        calls = self._profiler.calls
+        totals = self._profiler.total_s
+        grand_total = sum(totals.values())
         report: List[Dict[str, object]] = []
-        for index, step in enumerate(self.steps):
-            calls = self._profile_calls[index]
-            total_s = self._profile_total_s[index]
+        for step in self.steps:
+            count = calls.get(step.key, 0)
+            total_s = totals.get(step.key, 0.0)
             report.append(
                 {
                     "key": step.key,
                     "kind": type(step).__name__.lstrip("_"),
-                    "route": getattr(step, "route", None),
-                    "calls": calls,
+                    "route": step.backend_kernel,
+                    "calls": count,
                     "total_ms": round(total_s * 1e3, 4),
-                    "mean_ms": round(total_s * 1e3 / calls, 4) if calls else 0.0,
+                    "mean_ms": round(total_s * 1e3 / count, 4) if count else 0.0,
                     "share": round(total_s / grand_total, 4) if grand_total else 0.0,
                 }
             )
         return report
 
-    def set_kernel_route(self, route: str) -> None:
-        """Force every codebook-capable step onto ``"gemm"`` or ``"lut"``.
-
-        Steps without packed codes (float layers, bits > 8) always stay on
-        the GEMM route, as do batch-major conv steps — the LUT kernel is
-        channel-major only.
-        """
-        if route not in ("gemm", "lut"):
-            raise ValueError(f"unknown kernel route {route!r}")
-        for step in self.steps:
-            if hasattr(step, "route"):
-                if route == "lut" and (
-                    getattr(step, "_packed", None) is None
-                    or not getattr(step, "channel_major", True)
-                ):
-                    step.route = "gemm"
-                else:
-                    step.route = route
-
-    def calibrate_routes(self, probe: np.ndarray, repeats: int = 3) -> Dict[str, str]:
-        """Measure gemm vs LUT per fused step on ``probe`` and keep the winner.
-
-        Walks the plan once; at each step that has both routes, times each
-        (best of ``repeats`` after a warm call — conv/linear steps do not
-        touch the branch state, so re-running them is side-effect free) and
-        locks in the faster one.  Returns ``{step_key: route}`` for the
-        steps that were measured.  Call after :meth:`refresh`, typically via
-        ``InferenceEngine.warmup()`` with ``REPRO_KERNEL_ROUTE=measure``.
-        """
-        import time
-
-        backend = get_backend()
-        ws = self._workspace
-        chosen: Dict[str, str] = {}
-        state: Dict[str, np.ndarray] = {}
-        x = probe
-        with no_grad():
-            if ws is not None:
-                ws.begin_run()
-            for step in self.steps:
-                if (
-                    getattr(step, "route", None) is None
-                    or getattr(step, "_packed", None) is None
-                    or not getattr(step, "channel_major", True)
-                ):
-                    x = step.run(x, backend, state, ws)
-                    continue
-                timings = {}
-                for route in ("gemm", "lut"):
-                    step.route = route
-                    step.run(x, backend, state, ws)  # warm: allocs + cache
-                    best = float("inf")
-                    for _ in range(repeats):
-                        start = time.perf_counter()
-                        step.run(x, backend, state, ws)
-                        best = min(best, time.perf_counter() - start)
-                    timings[route] = best
-                step.route = "gemm" if timings["gemm"] <= timings["lut"] else "lut"
-                chosen[step.key] = step.route
-                x = step.run(x, backend, state, ws)
-        return chosen
-
     def describe(self) -> Dict[str, object]:
         """A JSON-friendly structural summary (what compiled, and how)."""
         kinds: Dict[str, int] = {}
-        routes: Dict[str, int] = {}
         for step in self.steps:
             name = type(step).__name__.lstrip("_")
             kinds[name] = kinds.get(name, 0) + 1
-            route = getattr(step, "route", None)
-            if route is not None:
-                routes[route] = routes.get(route, 0) + 1
         out: Dict[str, object] = {
             "mode": self.mode,
             "optimized": self.optimized,
             "num_steps": len(self.steps),
             "step_kinds": kinds,
-            "kernel_routes": routes,
             **self.meta,
         }
         if self._workspace is not None:

@@ -2,8 +2,8 @@
 
 A compiled :class:`~repro.serve.plan.InferencePlan` owns one
 :class:`PlanWorkspace`.  Every step routes its output accumulator and every
-backend kernel routes its scratch (channel-major columns, LUT gather/sum
-tables, pooled windows, layout copies) through :meth:`PlanWorkspace.buffer`,
+backend kernel routes its scratch (channel-major columns, pooled windows,
+layout copies) through :meth:`PlanWorkspace.buffer`,
 keyed by the step's position in the plan plus the buffer's role and full
 geometry.  The first run through a new batch shape allocates each buffer
 exactly once ("priming", which ``InferenceEngine.warmup()`` does eagerly);

@@ -1,4 +1,5 @@
-"""Integer GEMM kernel parity: fast backend vs float64 reference."""
+"""Integer GEMM kernel parity (fast backend vs float64 reference) and the
+channel-major threshold controls."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.backend import get_backend, use_backend
+from repro.backend.fast_numpy import FastNumpyBackend
 
 
 @pytest.fixture
@@ -120,3 +122,30 @@ class TestPoolKernels:
         out = get_backend().pool_max(x, (1, 1), (1, 1))
         out[...] = 0.0
         assert x.any()
+
+
+class TestChannelMajorThreshold:
+    def test_env_override_wins(self, monkeypatch):
+        backend = FastNumpyBackend()
+        backend._calibrated_cm_max_positions = 999
+        monkeypatch.setenv("REPRO_CM_MAX_POSITIONS", "32")
+        assert backend.cm_max_positions == 32
+        monkeypatch.setenv("REPRO_CM_MAX_POSITIONS", "bogus")
+        with pytest.raises(ValueError):
+            _ = backend.cm_max_positions
+
+    def test_calibration_fills_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CM_MAX_POSITIONS", raising=False)
+        backend = FastNumpyBackend()
+        assert backend.cm_max_positions == FastNumpyBackend._CM_MAX_POSITIONS
+        chosen = backend.calibrate_cm_max_positions()
+        assert chosen == backend.cm_max_positions
+        assert chosen >= 0
+        # Second call is a cached no-op unless forced.
+        assert backend.calibrate_cm_max_positions() == chosen
+
+    def test_env_pin_skips_calibration(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CM_MAX_POSITIONS", "16")
+        backend = FastNumpyBackend()
+        assert backend.calibrate_cm_max_positions() == 16
+        assert backend._calibrated_cm_max_positions is None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,54 @@ class TestEngineTapIntegration:
         engine.enable_health_tap(None)
         engine.predict_logits(x)
         assert tap.snapshot()["runs"] == runs_before
+
+
+    def test_tap_and_step_profiling_observe_every_run(self, rng):
+        # Regression: step profiling used to take over run() and silently
+        # skip the tap, which then recorded no runs and no layers.
+        model, shape = random_quantized_model(seed=4)
+        x = rng.standard_normal((2, *shape)).astype(np.float32)
+        want = InferenceEngine(model).predict_logits(x)
+
+        engine = InferenceEngine(model)
+        tap = QuantHealthTap(sample_every=1)
+        engine.enable_health_tap(tap)
+        engine.enable_step_profiling()
+        runs = 3
+        for _ in range(runs):
+            got = engine.predict_logits(x)
+            want_map = want if isinstance(want, dict) else {"": want}
+            got_map = got if isinstance(got, dict) else {"": got}
+            for slot in want_map:
+                np.testing.assert_array_equal(got_map[slot], want_map[slot])
+        snap = tap.snapshot()
+        assert snap["runs"] == snap["sampled_runs"] == runs
+        assert snap["layers"], "no PACT layers observed"
+        timings = engine.plan.step_timings()
+        assert all(entry["calls"] == runs for entry in timings)
+
+    def test_step_time_excludes_observer_work(self, rng):
+        class _SlowObserver:
+            observed = 0
+
+            def begin_run(self):
+                return True
+
+            def observe(self, step, inputs, out, seconds):
+                self.observed += 1
+                time.sleep(0.02)
+
+        model, shape = random_quantized_model(seed=4)
+        engine = InferenceEngine(model)
+        engine.enable_step_profiling()
+        slow = _SlowObserver()
+        engine.enable_health_tap(slow)
+        engine.predict_logits(rng.standard_normal((1, *shape)).astype(np.float32))
+        timings = engine.plan.step_timings()
+        assert slow.observed == len(timings)
+        assert all(entry["calls"] == 1 for entry in timings)
+        # Every step would read >= 20 ms if the observer's sleep were timed.
+        assert all(entry["total_ms"] < 20.0 for entry in timings)
 
 
 class TestModelServerHealth:

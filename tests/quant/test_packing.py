@@ -1,4 +1,4 @@
-"""Packed code planes: bitwise pack/unpack round-trips and bucket-plan invariants."""
+"""Packed code planes: bitwise pack/unpack round-trips."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.quant import pack_codes, packable_bits, unpack_codes
-from repro.quant.qmodules import QConv2d, QLinear
+from repro.quant.qmodules import QConv2d
 
 
 def _random_codes(rng, rows: int, fan_in: int, bits: int) -> np.ndarray:
@@ -48,52 +48,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             pack_codes(np.zeros((1, 1), dtype=np.float32), 16)
 
-
-class TestBucketPlan:
-    @pytest.mark.parametrize("bits", [2, 4])
-    def test_buckets_partition_every_column(self, rng, bits):
-        codes = _random_codes(rng, 3, 29, bits)
-        packed = pack_codes(codes, bits)
-        perm, starts = packed.bucket_plan()
-        indices = packed.indices()
-        for row in range(packed.rows):
-            seen = np.sort(perm[row])
-            np.testing.assert_array_equal(seen, np.arange(codes.shape[1]))
-            for code in range(packed.num_codewords):
-                lo, hi = starts[row, code], starts[row, code + 1]
-                segment = perm[row, lo:hi]
-                np.testing.assert_array_equal(
-                    indices[row, segment], np.full(hi - lo, code, dtype=indices.dtype)
-                )
-
-    def test_codebook_scales(self, rng):
-        packed = pack_codes(_random_codes(rng, 2, 8, 2), 2)
-        scalar = packed.codebook(0.5)
-        np.testing.assert_allclose(scalar, [[-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]])
-        per_row = packed.codebook(np.array([1.0, 2.0], dtype=np.float32))
-        np.testing.assert_allclose(per_row, [[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0]])
-
-
-class TestLayerPackedWeight:
     @pytest.mark.parametrize("bits", [2, 4])
     def test_layer_codes_round_trip(self, rng, bits):
         conv = QConv2d(3, 5, 3, bits=bits, rng=rng)
         _, info = conv.quantized_weight()
-        packed = conv.packed_weight()
+        packed = pack_codes(info.codes, conv.bits)
         np.testing.assert_array_equal(
             unpack_codes(packed), info.codes.reshape(info.codes.shape[0], -1)
         )
-
-    def test_packed_weight_cached_until_weights_change(self, rng):
-        layer = QLinear(12, 6, bits=4, rng=rng)
-        first = layer.packed_weight()
-        assert layer.packed_weight() is first
-        layer.weight.bump_version()
-        assert layer.packed_weight() is not first
-
-    def test_unpackable_bits_return_none(self, rng):
-        layer = QLinear(8, 4, bits=16, rng=rng)
-        assert layer.packed_weight() is None
 
     def test_mixed_bits_from_parity_generator(self):
         # The randomized serving-parity generator assigns random per-layer
@@ -104,11 +66,10 @@ class TestLayerPackedWeight:
         for seed in range(3):
             model, _ = random_quantized_model(seed)
             for layer in model.quantizable_layers().values():
-                _, info = layer.quantized_weight()
-                packed = layer.packed_weight()
-                if packed is None:
-                    assert not packable_bits(layer.bits)
+                if not packable_bits(layer.bits):
                     continue
+                _, info = layer.quantized_weight()
+                packed = pack_codes(info.codes, layer.bits)
                 np.testing.assert_array_equal(
                     unpack_codes(packed), info.codes.reshape(info.codes.shape[0], -1)
                 )

@@ -79,16 +79,6 @@ class TestZeroAllocationServing:
         # be detached from the arena and survive untouched.
         np.testing.assert_array_equal(first, snapshot)
 
-    def test_lut_route_is_also_allocation_free(self, rng):
-        model, shape = random_quantized_model(3)
-        engine = InferenceEngine(model, batch_size=8).warmup(input_shape=shape)
-        engine.plan.set_kernel_route("lut")
-        x = rng.standard_normal((8, *shape)).astype(np.float32)
-        want = engine.predict_logits(x)
-        engine.predict_logits(x)
-        assert engine.plan_report()["steady_state_allocations"] == 0
-        np.testing.assert_array_equal(engine.predict_logits(x), want)
-
     def test_ragged_final_batch_reprimes_then_settles(self, rng):
         model, shape = random_quantized_model(4)
         engine = InferenceEngine(model, batch_size=8).warmup(input_shape=shape)
@@ -153,32 +143,3 @@ class TestConcurrentEngines:
             thread.join()
         for out in outs:
             np.testing.assert_array_equal(out, want)
-
-
-class TestRouteControls:
-    def test_env_route_selection(self, monkeypatch, rng):
-        model, shape = random_quantized_model(8)
-        monkeypatch.setenv("REPRO_KERNEL_ROUTE", "lut")
-        engine = InferenceEngine(model, batch_size=8).warmup(input_shape=shape)
-        routes = engine.plan_report()["plan"]["kernel_routes"]
-        assert routes.get("lut", 0) > 0
-        monkeypatch.setenv("REPRO_KERNEL_ROUTE", "bogus")
-        with pytest.raises(ValueError):
-            InferenceEngine(model, batch_size=8).warmup(input_shape=shape)
-
-    def test_measured_routes_report(self, monkeypatch, rng):
-        model, shape = random_quantized_model(9)
-        monkeypatch.setenv("REPRO_KERNEL_ROUTE", "measure")
-        engine = InferenceEngine(model, batch_size=8).warmup(input_shape=shape)
-        routes = engine.plan_report()["plan"]["kernel_routes"]
-        assert sum(routes.values()) > 0
-        x = rng.standard_normal((8, *shape)).astype(np.float32)
-        engine.predict_logits(x)
-        engine.predict_logits(x)
-        assert engine.plan_report()["steady_state_allocations"] == 0
-
-    def test_set_kernel_route_validates(self, rng):
-        model, shape = random_quantized_model(10)
-        engine = InferenceEngine(model, batch_size=8).warmup(input_shape=shape)
-        with pytest.raises(ValueError):
-            engine.plan.set_kernel_route("simd")
