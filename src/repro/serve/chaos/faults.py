@@ -8,7 +8,7 @@ Everything here drives the two seams the serving stack exposes for chaos:
   *data* frames (REQUEST/RESPONSE/ERROR): dropping boot-time HELLO or
   SHUTDOWN frames would test the chaos harness, not the serving stack.
 * ``ClusterServer.fault_injector`` — a per-cluster ``before_dispatch`` hook
-  on the router's dispatcher threads.  :class:`DispatchFaults` injects
+  on the shard lanes' worker threads.  :class:`DispatchFaults` injects
   seeded pre-dispatch latency there (modelling a slow wire or a stalled
   scheduler) without touching the worker.
 
@@ -211,22 +211,22 @@ class _AppliedPlan:
 
     def _fire(self, event: KillStormEvent) -> None:
         try:
-            variant = self._cluster._variant(event.variant)
+            variant = self._cluster._route(event.variant)
         except KeyError:
             self._plan.record("kill_skipped", variant=event.variant, reason="unknown")
             return
         live = variant.live_shards()
         victims = self._rng.sample(live, k=min(event.kills, len(live)))
-        for shard in victims:
-            handle = shard.handle
+        for lane in victims:
+            handle = lane.executor.handle
             pid = handle.pid if handle is not None else None
             if handle is None or not handle.process.is_alive():
-                self._plan.record("kill_skipped", shard=shard.name, reason="not alive")
+                self._plan.record("kill_skipped", shard=lane.name, reason="not alive")
                 continue
             handle.process.kill()
             self._plan.record(
                 "kill",
-                shard=shard.name,
+                shard=lane.name,
                 pid=pid,
                 at_s=round(time.monotonic() - self._start, 4),
             )

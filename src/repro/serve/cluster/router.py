@@ -1,36 +1,34 @@
-"""The cluster router: process-sharded serving behind the ModelServer API.
+"""The cluster router: process-sharded serving over quantized checkpoints.
 
-:class:`ClusterServer` mirrors :class:`~repro.serve.frontend.ModelServer`'s
-``submit``/``predict`` surface, but each registered *variant* (a quantized
-checkpoint + engine mode) is served by **N worker processes** instead of one
-worker thread.  That is the scaling step the frontend seam called for: a
-GIL-bound serving path (module-path fallback, Python glue in compiled plans)
-caps a single process at roughly one core no matter how many threads it
-runs; processes shard it across cores.
+:class:`ClusterServer` serves each registered *variant* (a quantized
+checkpoint + engine mode) from **N worker processes**.  A GIL-bound serving
+path (module-path fallback, Python glue in compiled plans) caps a single
+process at roughly one core no matter how many threads it runs; processes
+shard it across cores.
 
 Topology, per variant::
 
     submit(name, x) ──> least-outstanding shard pick
-                          ├── shard 0: RequestQueue -> DynamicBatcher -> dispatcher thread ══socketpair══ worker process 0
-                          ├── shard 1: RequestQueue -> DynamicBatcher -> dispatcher thread ══socketpair══ worker process 1
+                          ├── shard 0: Lane (queue -> batcher -> thread) ──_Worker══socketpair══ worker process 0
+                          ├── shard 1: Lane (queue -> batcher -> thread) ──_Worker══socketpair══ worker process 1
                           └── ...
 
-The proven frontend pieces are *reused*, not re-implemented: every shard has
-its own bounded :class:`~repro.serve.frontend.queuing.RequestQueue`
-(admission control + backpressure) and
-:class:`~repro.serve.frontend.batcher.DynamicBatcher` (micro-batch policy),
-and records into its own :class:`~repro.serve.frontend.metrics.ServerMetrics`
-— the cluster view is :meth:`ServerMetrics.merged` over the shards.
+Every shard is a :class:`~repro.serve.frontend.lane.Lane`, the same serving
+core :class:`~repro.serve.frontend.ModelServer` runs on; its executor is a
+:class:`_Worker` that ships the stacked batch over the wire instead of
+calling an engine in-process.  The cluster view of the metrics is
+:meth:`ServerMetrics.merged` over the shards.
 
 Failure containment:
 
 * **Per-request failures** (bad shape, worker-side exception) come back as
   typed ERROR frames and fail only the affected futures.
-* **A crashed worker** fails only the requests *in flight on its wire* with
-  :class:`~repro.serve.cluster.protocol.WorkerCrashed`; everything still in
-  its queue survives, and the shard's dispatcher respawns the worker from
-  the same checkpoint (bounded by ``max_restarts``) while the other shards
-  keep serving.  A health monitor notices workers that die while idle, so
+* **A crashed worker** strands only the requests *in flight on its wire*:
+  they are re-dispatched while they have retry budget and otherwise fail
+  with :class:`~repro.serve.cluster.protocol.WorkerCrashed`.  Everything
+  still in its queue survives, and the shard respawns the worker from the
+  same checkpoint (bounded by ``max_restarts``) while the other shards keep
+  serving.  A health monitor notices workers that die while idle, so
   restart does not wait for the next request to trip over the corpse.
 * **Scale-down** retires a shard gracefully: it stops receiving new
   requests, drains its queue, then shuts the worker down.
@@ -39,28 +37,18 @@ Failure containment:
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, InvalidStateError
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...backend import get_backend
-from ...obs import EventLog, SpanRecorder, TraceContext
 from ...obs.health import DriftDetector, ModelHealth, ShadowExecutor
-from ..frontend.batcher import DynamicBatcher
+from ..frontend.lane import Executor, ExecutorLost, Lane, ServingCore
 from ..frontend.metrics import ServerMetrics
-from ..frontend.queuing import (
-    DeadlineExceeded,
-    Request,
-    RequestQueue,
-    ServerClosed,
-    ServerOverloaded,
-)
+from ..frontend.queuing import Request, ServerClosed
 from .breaker import BreakerPolicy, CircuitBreaker
 from .protocol import (
     FrameKind,
@@ -75,72 +63,211 @@ from .worker import WorkerBootError, WorkerHandle, WorkerOptions, spawn_worker
 
 __all__ = ["ClusterServer"]
 
-BatchObserver = Callable[[str, List[Request]], None]
 
+class _Worker(Executor):
+    """A shard's executor: one worker process spoken to over a FrameChannel.
 
-class _Shard:
-    """One worker process plus its router-side serving state."""
+    It owns what only a process executor has: the worker handle, the circuit
+    breaker, the restart count and the shard state.  A transport failure
+    (``ChannelClosed``, ``ProtocolError``, ``TimeoutError``) surfaces as
+    :class:`ExecutorLost`; :meth:`lost` then re-dispatches or fails the
+    stranded requests and respawns the worker.
+    """
 
     LIVE = "live"
     RETIRING = "retiring"
     FAILED = "failed"
 
-    def __init__(
-        self,
-        variant: "_Variant",
-        index: int,
-        queue: RequestQueue,
-        batcher: DynamicBatcher,
-        metrics: ServerMetrics,
-        breaker_policy: Optional[BreakerPolicy] = None,
-    ) -> None:
+    def __init__(self, cluster: "ClusterServer", variant: "_Variant", index: int) -> None:
+        self.cluster = cluster
         self.variant = variant
         self.index = index
-        self.queue = queue
-        self.batcher = batcher
-        self.metrics = metrics
-        self.breaker = CircuitBreaker(
-            breaker_policy, on_open=metrics.record_breaker_open
-        )
+        self.name = f"{variant.name}[{index}]"
         self.handle: Optional[WorkerHandle] = None
-        self.dispatcher: Optional[threading.Thread] = None
+        self.breaker: Optional[CircuitBreaker] = None  # wired by ClusterServer._attach
         self.state = self.LIVE
         self.restarts = 0
         self.needs_restart = False
-        self._request_ids = itertools.count(1)
-        self._pending = 0
-        self._idle = threading.Condition()
+        # Wire frame ids are per channel; request ids are server-wide.
+        self._frame_ids = itertools.count(1)
 
     @property
-    def name(self) -> str:
-        return f"{self.variant.name}[{self.index}]"
-
-    # -- outstanding-request accounting (least-outstanding routing) -------- #
-    def note_admitted(self) -> None:
-        with self._idle:
-            self._pending += 1
-
-    def note_done(self) -> None:
-        with self._idle:
-            self._pending -= 1
-            if self._pending <= 0:
-                self._idle.notify_all()
+    def pid(self) -> Optional[int]:
+        return self.handle.pid if self.handle is not None else None
 
     @property
-    def outstanding(self) -> int:
-        with self._idle:
-            return self._pending
+    def uses_fallback(self) -> bool:
+        return self.handle.uses_fallback if self.handle is not None else False
 
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0, timeout)
+    def spawn(self) -> WorkerHandle:
+        cluster = self.cluster
+        return spawn_worker(
+            self.variant.options,
+            start_method=cluster.start_method,
+            boot_timeout=cluster.boot_timeout_s,
+        )
 
-    def next_request_id(self) -> int:
-        return next(self._request_ids)
+    def __call__(
+        self, batch: np.ndarray, trace_ids: Optional[List[str]]
+    ) -> Tuple[np.ndarray, float]:
+        injector = self.cluster.fault_injector
+        if injector is not None:
+            injector.before_dispatch(self.cluster, self.variant.name, self.name)
+        try:
+            logits, worker_trace = self._roundtrip(batch, trace_ids)
+        except (ChannelClosed, ProtocolError, TimeoutError) as error:
+            raise ExecutorLost(str(error)) from error
+        self.breaker.record_success(time.monotonic())
+        return logits, float(worker_trace.get("execute_s", 0.0)) if worker_trace else 0.0
+
+    def _roundtrip(
+        self, batch: np.ndarray, trace_ids: Optional[List[str]]
+    ) -> "tuple[np.ndarray, Optional[dict]]":
+        """One REQUEST/RESPONSE exchange; raises the typed worker error.
+
+        Only the lane's thread ever touches the wire, so the exchange needs
+        no locking — frame ids still correlate replies in case a stale frame
+        (e.g. from a boot-time exchange) lingers.
+
+        ``trace_ids`` (when tracing) ride in the version-2 trace block; the
+        worker echoes them back with its measured ``execute_s``, returned
+        here as the second element (``None`` for untraced exchanges).
+        """
+        frame_id = next(self._frame_ids)
+        channel = self.handle.channel
+        channel.send(
+            FrameKind.REQUEST,
+            frame_id,
+            encode_request(
+                self.variant.name,
+                batch,
+                trace={"trace_ids": trace_ids} if trace_ids else None,
+            ),
+        )
+        frame = channel.wait_for(
+            frame_id, (FrameKind.RESPONSE, FrameKind.ERROR), self.cluster.request_timeout_s
+        )
+        if frame.kind == FrameKind.ERROR:
+            raise exception_from_error(frame.payload)
+        return decode_response(frame.payload)
+
+    # -- the lane's hooks --------------------------------------------------- #
+    def ready(self, lane: Lane) -> bool:
+        if self.needs_restart and not self.cluster._closed:
+            self.needs_restart = False
+            return self.restart(lane)
+        return True
+
+    def lost(self, lane: Lane, requests: List[Request], error: ExecutorLost) -> None:
+        # The worker's wire is gone: every request popped for this batch is
+        # in flight from the router's perspective.  Requests with retry
+        # budget left are re-dispatched (inference is pure, so the retry is
+        # idempotent); the rest fail with WorkerCrashed.  The queue survives.
+        self.breaker.record_failure()
+        crash = WorkerCrashed(
+            f"shard {self.name} (pid={self.pid or '?'}) "
+            f"died with this request in flight: {error}"
+        )
+        for request in requests:
+            if request.trace is not None:
+                # Attribute the doomed attempt (send -> crash detection) to
+                # the wire, so a retried request's span still tiles its life.
+                request.trace.advance("wire")
+            if not self._redispatch(lane, request):
+                lane.fail_request(request, crash)
+        self.restart(lane)
+
+    def finished(self, lane: Lane) -> None:
+        # Drained by retirement: shut the worker down and deregister the
+        # shard so it stops appearing in telemetry.
+        if self.state == self.RETIRING:
+            self.handle.shutdown(timeout=5.0)
+            self.variant.remove(lane)
+
+    # -- crash handling ----------------------------------------------------- #
+    def restart(self, lane: Lane) -> bool:
+        """Respawn a dead worker in place; False when the shard is failed."""
+        cluster = self.cluster
+        dead_pid = self.pid
+        if self.handle is not None:
+            self.handle.kill()
+        if cluster._closed:
+            return False
+        self.restarts += 1
+        if self.restarts > cluster.max_restarts:
+            self._fail_shard(lane)
+            return False
+        try:
+            self.handle = self.spawn()
+        except (WorkerBootError, OSError) as error:
+            self._fail_shard(lane, reason=str(error))
+            return False
+        cluster.events.emit(
+            "worker_restart",
+            variant=self.variant.name,
+            shard=self.name,
+            restarts=self.restarts,
+            dead_pid=dead_pid,
+            new_pid=self.handle.pid,
+        )
+        return True
+
+    def _fail_shard(self, lane: Lane, reason: str = "") -> None:
+        """Crash-loop bound hit: fail the shard and everything it still queues."""
+        self.state = self.FAILED
+        lane.queue.close()
+        detail = f" ({reason})" if reason else ""
+        self.cluster.events.emit(
+            "shard_failed",
+            variant=self.variant.name,
+            shard=self.name,
+            restarts=self.restarts,
+            reason=reason,
+        )
+        lane.fail_queued(
+            WorkerCrashed(f"shard {self.name} failed after {self.restarts - 1} restarts{detail}")
+        )
+        self.variant.remove(lane)
+
+    def _redispatch(self, lane: Lane, request: Request) -> bool:
+        """Requeue a crash-interrupted request; False when it must fail.
+
+        The target is another live shard when one exists (the crashed
+        shard's replacement worker is seconds away at best), else the same
+        shard's surviving queue — its lane serves the queue again once the
+        restart completes.  ``put_front`` preserves the request's place at
+        the head of the line; it already waited once.
+        """
+        cluster = self.cluster
+        if cluster._closed or request.attempts >= cluster.max_request_retries:
+            return False
+        if request.expired():
+            lane.expire_request(request)
+            return True  # handled: expired, not lost
+        try:
+            target = self.variant.pick(excluded={lane})
+        except ServerClosed:
+            target = lane if self.state == self.LIVE else None
+        if target is None:
+            return False
+        request.attempts += 1
+        target.note_admitted()
+        lane.note_done()
+        target.queue.put_front(request)  # exempt from depth/closed: already admitted
+        target.metrics.record_retried()
+        cluster.events.emit(
+            "request_retried",
+            variant=self.variant.name,
+            from_shard=lane.name,
+            to_shard=target.name,
+            request_id=request.request_id,
+            attempt=request.attempts,
+        )
+        return True
 
 
 class _Variant:
-    """One registered checkpoint/mode pair and its shard set."""
+    """One registered checkpoint/mode pair and its shard lanes."""
 
     def __init__(
         self,
@@ -158,35 +285,74 @@ class _Variant:
         self.max_shards = max_shards
         self.target_shards = target_shards
         self.description = description
-        self.shards: List[_Shard] = []
+        self.shards: List[Lane] = []
         self.lock = threading.Lock()
         self.next_index = 0
         # Optional repro.obs.health.ModelHealth shared by every shard of the
-        # variant (the engines live in worker processes, so the router feeds
+        # variant (the engines live in worker processes, so the lanes feed
         # it from served batches; telemetry rows all reference this one
         # object and the exporter dedups by identity).
         self.health: Optional[ModelHealth] = None
 
-    def live_shards(self) -> List[_Shard]:
+    def live_shards(self) -> List[Lane]:
         with self.lock:
-            return [s for s in self.shards if s.state == _Shard.LIVE]
+            return [s for s in self.shards if s.executor.state == _Worker.LIVE]
 
-    def all_shards(self) -> List[_Shard]:
+    def all_shards(self) -> List[Lane]:
         with self.lock:
             return list(self.shards)
 
+    def remove(self, lane: Lane) -> None:
+        with self.lock:
+            if lane in self.shards:
+                self.shards.remove(lane)
 
-class ClusterServer:
+    def pick(self, excluded: Optional[set] = None) -> Lane:
+        """Least-outstanding routing over the variant's live shards.
+
+        Shards whose circuit breaker is OPEN are skipped — their worker is
+        flapping, and sending fresh traffic there only pays a timeout before
+        a retry rescues it.  When *every* live shard is dark the router
+        degrades to routing anyway (blackholing all traffic would turn a
+        recoverable brownout into an outage).
+        """
+        live = self.live_shards()
+        if excluded:
+            live = [lane for lane in live if lane not in excluded]
+        if not live:
+            raise ServerClosed(
+                f"variant {self.name!r} has no live shards "
+                f"(crashed beyond max_restarts, or the cluster is not started)"
+            )
+        allowed = [lane for lane in live if lane.executor.breaker.allow()]
+        return min(allowed or live, key=lambda lane: lane.pending)
+
+    def admit(self, request: Request, block: bool, timeout: Optional[float]) -> None:
+        """Admit on the least-loaded shard, moving on from shards that closed."""
+        excluded: set = set()
+        while True:
+            lane = self.pick(excluded)
+            try:
+                return lane.admit(request, block, timeout)
+            except ServerClosed:
+                # Lost the race with this shard's retirement/failure; another
+                # shard (if any is left) can still take the request.
+                excluded.add(lane)
+
+
+class ClusterServer(ServingCore):
     """Process-sharded, wire-connected serving over quantized checkpoints.
 
-    Parameters mirror :class:`~repro.serve.frontend.ModelServer` where they
-    mean the same thing; the new knobs govern the process fleet.
+    ``max_batch_size``, ``max_delay_ms``, ``max_queue_depth``,
+    ``latency_window``, ``on_batch``, ``trace`` and ``span_capacity`` are
+    the serving core's (:class:`~repro.serve.frontend.lane.ServingCore`),
+    applied per shard; ``on_batch`` sees the variant name.  A traced
+    request's span also carries a *wire* stage: the worker reports its own
+    execute time over the protocol's trace block, so the span separates
+    transit from engine work.  The rest govern the process fleet.
 
     Parameters
     ----------
-    max_batch_size / max_delay_ms / max_queue_depth / latency_window:
-        Per-shard micro-batching and admission-control bounds (the same
-        semantics as on ``ModelServer``).
     start_method:
         ``multiprocessing`` start method for workers.  ``"spawn"`` (default)
         boots each worker in a pristine interpreter; ``"fork"`` is faster
@@ -194,8 +360,8 @@ class ClusterServer:
     boot_timeout_s:
         How long a worker may take from process start to HELLO.
     request_timeout_s:
-        How long a dispatcher waits for one micro-batch's reply before
-        declaring the worker dead.
+        How long a shard waits for one micro-batch's reply before declaring
+        the worker dead.
     max_restarts:
         Crash-loop bound per shard; beyond it the shard is failed and its
         queued requests are failed with :class:`WorkerCrashed`.
@@ -209,52 +375,29 @@ class ClusterServer:
         Per-shard circuit-breaker thresholds (:class:`BreakerPolicy`).  A
         shard whose worker keeps crashing or timing out is skipped by the
         router until a cooldown probe succeeds; its queue is never dropped.
-    on_batch:
-        Test/telemetry hook called with ``(variant_name, requests)`` after
-        each served micro-batch.
-    trace:
-        When true (the default), every request carries a
-        :class:`~repro.obs.TraceContext` across the whole path — queue,
-        batcher, *wire* (the trace block added in protocol version 2), the
-        worker's engine call — and its finished span lands in :attr:`spans`.
-        The worker reports its own execute time, so the span separates wire
-        transit from engine work.
-    span_capacity:
-        How many finished spans the bounded ring retains.
     """
 
-    _POLL_SECONDS = 0.05
     _MONITOR_SECONDS = 0.25
+    _KIND = "cluster"
+    _MODEL_LABEL = "variant"
 
     def __init__(
         self,
         *,
-        max_batch_size: int = 32,
-        max_delay_ms: float = 2.0,
-        max_queue_depth: int = 512,
-        latency_window: int = 8192,
         start_method: str = "spawn",
         boot_timeout_s: float = 120.0,
         request_timeout_s: float = 60.0,
         max_restarts: int = 3,
         max_request_retries: int = 0,
         breaker_policy: Optional[BreakerPolicy] = None,
-        on_batch: Optional[BatchObserver] = None,
-        trace: bool = True,
         span_capacity: int = 4096,
+        **options,
     ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
+        super().__init__(span_capacity=span_capacity, **options)
         if max_request_retries < 0:
             raise ValueError(
                 f"max_request_retries must be >= 0, got {max_request_retries}"
             )
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay_ms = float(max_delay_ms)
-        self.max_queue_depth = int(max_queue_depth)
-        self.latency_window = int(latency_window)
         self.start_method = start_method
         self.boot_timeout_s = float(boot_timeout_s)
         self.request_timeout_s = float(request_timeout_s)
@@ -265,15 +408,7 @@ class ClusterServer:
         #: ``before_dispatch(cluster, variant_name, shard_name)`` hook runs
         #: right before each micro-batch hits the wire.  None in production.
         self.fault_injector = None
-        self._on_batch = on_batch
-        self.trace_enabled = bool(trace)
-        self.spans = SpanRecorder(span_capacity)
-        self.events = EventLog()
         self._variants: "OrderedDict[str, _Variant]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._started = False
-        self._closed = False
-        self._abort = threading.Event()
         self._monitor: Optional[threading.Thread] = None
         self._scaling_events: List[Dict[str, object]] = []
 
@@ -342,271 +477,88 @@ class ClusterServer:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> "ClusterServer":
-        with self._lock:
-            if self._closed:
-                raise ServerClosed("this cluster was stopped; build a new one")
-            if self._started:
-                raise RuntimeError("the cluster is already running")
-            self._started = True
-            variants = list(self._variants.values())
-        for variant in variants:
+    def _launch(self) -> None:
+        for variant in self._variant_list():
             self._reconcile(variant)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="cluster/monitor", daemon=True
         )
         self._monitor.start()
-        return self
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the fleet. ``drain=True`` serves everything already admitted."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not drain:
-                self._abort.set()
-            variants = list(self._variants.values())
-            was_started = self._started
-        for variant in variants:
-            for shard in variant.all_shards():
-                shard.queue.close()
-        if was_started:
-            for variant in variants:
-                for shard in variant.all_shards():
-                    if shard.dispatcher is not None:
-                        shard.dispatcher.join(timeout)
-        error = ServerClosed("the cluster stopped before this request was served")
-        for variant in variants:
-            for shard in variant.all_shards():
-                for request in shard.queue.drain_remaining():
-                    self._fail_request(shard, request, error)
-                if shard.handle is not None:
-                    shard.handle.shutdown(timeout=5.0)
+        super().stop(drain, timeout)
+        for lane in self._all_lanes():
+            if lane.executor.handle is not None:
+                lane.executor.handle.shutdown(timeout=5.0)
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted request completed (cluster keeps running)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for variant in self._variant_list():
-            for shard in variant.all_shards():
-                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-                if not shard.wait_idle(remaining):
-                    return False
-        return True
-
-    @property
-    def running(self) -> bool:
-        return self._started and not self._closed
-
-    def __enter__(self) -> "ClusterServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.stop(drain=exc_type is None)
-
-    # ------------------------------------------------------------------ #
-    # submission API (mirrors ModelServer)
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        name: str,
-        inputs,
-        block: bool = True,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-        priority: int = 0,
-        trace_id: Optional[str] = None,
-    ) -> "Future[np.ndarray]":
-        """Enqueue one request on the least-loaded shard of ``name``.
-
-        Accepts a single ``(C, H, W)`` sample (future resolves to one logits
-        row) or an ``(n, C, H, W)`` small batch, exactly like
-        :meth:`ModelServer.submit`.  ``deadline_s`` bounds the request's
-        total life from now: once exceeded it never occupies a batch slot
-        and its future fails with
-        :class:`~repro.serve.frontend.queuing.DeadlineExceeded`.
-        ``priority`` feeds load shedding — when the picked shard's queue is
-        full, a queued lower-priority request is shed to admit this one.
-        ``trace_id`` names the request's trace span (auto-generated when
-        tracing is on and none is given); look it up afterwards with
-        ``cluster.spans.find(trace_id)``.
-        """
-        if self._closed:
-            raise ServerClosed("the cluster is stopped")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-        variant = self._variant(name)
-        array = np.ascontiguousarray(np.asarray(inputs, dtype=np.float32))
-        if array.ndim == 3:
-            array = array[np.newaxis]
-            squeeze = True
-        elif array.ndim == 4:
-            squeeze = False
-        else:
-            raise ValueError(
-                f"expected a (C, H, W) sample or (n, C, H, W) small batch, "
-                f"got shape {array.shape}"
-            )
-        if array.shape[0] == 0:
-            raise ValueError("cannot submit an empty request")
-        if array.shape[0] > self.max_batch_size:
-            raise ValueError(
-                f"request of {array.shape[0]} samples exceeds max_batch_size="
-                f"{self.max_batch_size}; use InferenceEngine.predict_logits "
-                f"for large offline batches"
-            )
-        excluded: set = set()
-        while True:
-            shard = self._pick_shard(variant, excluded)
-            now = time.monotonic()
-            request = Request(
-                inputs=array,
-                future=Future(),
-                squeeze=squeeze,
-                enqueue_time=now,
-                request_id=shard.next_request_id(),
-                deadline=None if deadline_s is None else now + deadline_s,
-                priority=int(priority),
-                trace=TraceContext(trace_id, started=now) if self.trace_enabled else None,
-            )
-            shard.note_admitted()
-            try:
-                shard.queue.put(request, block=block, timeout=timeout)
-            except ServerOverloaded:
-                # Full queue: try shedding a queued lower-priority request
-                # to make room before rejecting outright.
-                try:
-                    victim = shard.queue.shed_lower_priority(request)
-                except ServerOverloaded:
-                    shard.note_done()
-                    shard.metrics.record_rejected()
-                    raise
-                except ServerClosed:
-                    shard.note_done()
-                    excluded.add(shard)
-                    continue
-                if victim is not None:
-                    self._shed_request(shard, victim)
-            except ServerClosed:
-                # Lost the race with this shard's retirement/failure; another
-                # shard (if any is left) can still take the request.
-                shard.note_done()
-                excluded.add(shard)
-                continue
-            shard.metrics.record_admitted(shard.queue.depth)
-            return request.future
-
-    def predict(
-        self,
-        name: str,
-        inputs,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-    ) -> np.ndarray:
-        return self.submit(name, inputs, trace_id=trace_id).result(timeout)
-
-    def predict_classes(self, name: str, inputs, timeout: Optional[float] = None) -> np.ndarray:
-        return self.predict(name, inputs, timeout=timeout).argmax(axis=-1)
-
-    def _pick_shard(self, variant: _Variant, excluded: Optional[set] = None) -> _Shard:
-        """Least-outstanding routing over the variant's live shards.
-
-        Shards whose circuit breaker is OPEN are skipped — their worker is
-        flapping, and sending fresh traffic there only pays a timeout before
-        a retry rescues it.  When *every* live shard is dark the router
-        degrades to routing anyway (blackholing all traffic would turn a
-        recoverable brownout into an outage).
-        """
-        live = variant.live_shards()
-        if excluded:
-            live = [shard for shard in live if shard not in excluded]
-        if not live:
-            raise ServerClosed(
-                f"variant {variant.name!r} has no live shards "
-                f"(crashed beyond max_restarts, or the cluster is not started)"
-            )
-        allowed = [shard for shard in live if shard.breaker.allow()]
-        pool = allowed if allowed else live
-        return min(pool, key=lambda shard: shard.outstanding)
-
-    def _variant(self, name: str) -> _Variant:
+    def _route(self, name: str) -> _Variant:
         with self._lock:
             variant = self._variants.get(name)
-        if variant is None:
-            with self._lock:
+            if variant is None:
                 known = ", ".join(sorted(self._variants)) or "<none>"
-            raise KeyError(f"no variant registered under {name!r} (registered: {known})")
+                raise KeyError(f"no variant registered under {name!r} (registered: {known})")
         return variant
 
     def _variant_list(self) -> List[_Variant]:
         with self._lock:
             return list(self._variants.values())
 
+    def _all_lanes(self) -> List[Lane]:
+        return [lane for variant in self._variant_list() for lane in variant.all_shards()]
+
     # ------------------------------------------------------------------ #
     # shard lifecycle
     # ------------------------------------------------------------------ #
     def _reconcile(self, variant: _Variant) -> None:
         """Bring the variant's live shard count up to its target."""
-        while True:
-            with variant.lock:
-                live = [s for s in variant.shards if s.state == _Shard.LIVE]
-                if len(live) >= variant.target_shards:
-                    return
+        while len(variant.live_shards()) < variant.target_shards:
             self._add_shard(variant)
 
-    def _add_shard(self, variant: _Variant) -> _Shard:
-        queue = RequestQueue(max_depth=self.max_queue_depth)
-        batcher = DynamicBatcher(
-            queue, max_batch_size=self.max_batch_size, max_delay=self.max_delay_ms / 1e3
-        )
+    def _add_shard(self, variant: _Variant) -> Lane:
         with variant.lock:
             index = variant.next_index
             variant.next_index += 1
-        shard = _Shard(
-            variant,
-            index,
-            queue,
-            batcher,
-            ServerMetrics(self.latency_window),
-            breaker_policy=self.breaker_policy,
+        worker = _Worker(self, variant, index)
+        worker.handle = worker.spawn()
+        return self._attach(worker)
+
+    def _attach(self, worker: _Worker) -> Lane:
+        """Give a booted ``worker`` its lane, list it as a live shard, start it."""
+        variant = worker.variant
+        lane = Lane(
+            self,
+            worker,
+            variant.name,
+            {"variant": variant.name, "shard": worker.index},
+            name=worker.name,
         )
-        batcher.on_expired = lambda request, shard=shard: self._expire_request(
-            shard, request
-        )
-        # Breaker OPEN/HALF_OPEN/CLOSED transitions become structured events
-        # (the OPEN counter alone cannot say which shard darkened, or when
-        # it recovered).
-        shard.breaker.on_transition = (
-            lambda old, new, now, shard=shard: self.events.emit(
+        lane.health = variant.health
+        worker.breaker = CircuitBreaker(
+            self.breaker_policy,
+            on_open=lane.metrics.record_breaker_open,
+            # OPEN/HALF_OPEN/CLOSED transitions become structured events (the
+            # OPEN counter alone cannot say which shard darkened, or when it
+            # recovered).
+            on_transition=lambda old, new, now: self.events.emit(
                 "breaker_transition",
-                variant=shard.variant.name,
-                shard=shard.name,
+                variant=variant.name,
+                shard=worker.name,
                 from_state=old,
                 to_state=new,
-            )
-        )
-        shard.handle = spawn_worker(
-            variant.options,
-            start_method=self.start_method,
-            boot_timeout=self.boot_timeout_s,
-        )
-        shard.dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            args=(variant, shard),
-            name=f"cluster-dispatch/{shard.name}",
-            daemon=True,
+            ),
         )
         with variant.lock:
-            variant.shards.append(shard)
-        shard.dispatcher.start()
-        return shard
+            variant.shards.append(lane)
+        lane.start()
+        return lane
 
-    def _retire_shard(self, variant: _Variant, shard: _Shard) -> None:
+    def _retire_shard(self, lane: Lane) -> None:
         """Graceful scale-down: no new requests, drain, then shut down."""
-        shard.state = _Shard.RETIRING
-        shard.queue.close()  # dispatcher drains to empty, then exits and shuts the worker down
+        lane.executor.state = _Worker.RETIRING
+        lane.queue.close()  # the lane drains to empty, then its executor shuts the worker down
 
     def scale(self, name: str, target_shards: int) -> int:
         """Move ``name`` to ``target_shards`` live shards (within bounds).
@@ -615,7 +567,7 @@ class ClusterServer:
         the highest-indexed shards gracefully (their queued requests are
         served before the worker exits).  Returns the new live-shard count.
         """
-        variant = self._variant(name)
+        variant = self._route(name)
         target = max(variant.min_shards, min(variant.max_shards, int(target_shards)))
         with self._lock:
             started = self._started and not self._closed
@@ -629,12 +581,12 @@ class ClusterServer:
             self._reconcile(variant)
         elif len(live) > target:
             self._record_scaling(name, len(live), target, "scale_down")
-            for shard in sorted(live, key=lambda s: s.index)[target:]:
-                self._retire_shard(variant, shard)
+            for lane in sorted(live, key=lambda lane: lane.executor.index)[target:]:
+                self._retire_shard(lane)
         return len(variant.live_shards())
 
     def num_shards(self, name: str) -> int:
-        return len(self._variant(name).live_shards())
+        return len(self._route(name).live_shards())
 
     def variants(self) -> List[str]:
         with self._lock:
@@ -657,370 +609,18 @@ class ClusterServer:
         return list(self._scaling_events)
 
     # ------------------------------------------------------------------ #
-    # dispatcher: one thread per shard, owner of the shard's wire
-    # ------------------------------------------------------------------ #
-    def _dispatch_loop(self, variant: _Variant, shard: _Shard) -> None:
-        while True:
-            if shard.needs_restart and not self._closed:
-                shard.needs_restart = False
-                if not self._restart_worker(variant, shard):
-                    return
-            batch = shard.batcher.next_batch(timeout=self._POLL_SECONDS)
-            if batch:
-                if self._abort.is_set():
-                    error = ServerClosed("the cluster stopped before this request was served")
-                    for request in batch:
-                        self._fail_request(shard, request, error)
-                else:
-                    self._serve_batch(variant, shard, batch)
-                continue
-            if shard.queue.closed:
-                break
-        # Drained (stop or retirement): shut the worker down and deregister
-        # retiring shards so they stop appearing in telemetry.
-        if shard.state == _Shard.RETIRING:
-            if shard.handle is not None:
-                shard.handle.shutdown(timeout=5.0)
-            with variant.lock:
-                if shard in variant.shards:
-                    variant.shards.remove(shard)
-
-    def _serve_batch(self, variant: _Variant, shard: _Shard, batch: List[Request]) -> None:
-        formed = time.monotonic()
-        live: List[Request] = []
-        for request in batch:
-            if request.attempts > 0:
-                # Re-dispatched after a crash: the future is already RUNNING
-                # (set_running_or_notify_cancel would raise InvalidStateError).
-                live.append(request)
-            elif request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                shard.metrics.record_cancelled()
-                shard.note_done()
-        if not live:
-            return
-        # Same per-shape grouping as ModelServer: a malformed request can
-        # only fail its own group.
-        groups: "OrderedDict[tuple, List[Request]]" = OrderedDict()
-        for request in live:
-            groups.setdefault(request.sample_shape, []).append(request)
-        for group_index, requests in enumerate(groups.values()):
-            stacked = (
-                requests[0].inputs
-                if len(requests) == 1
-                else np.concatenate([r.inputs for r in requests], axis=0)
-            )
-            injector = self.fault_injector
-            if injector is not None:
-                injector.before_dispatch(self, variant.name, shard.name)
-            wire_start = time.monotonic()
-            traced = [r for r in requests if r.trace is not None]
-            for request in traced:
-                # queue_wait ended at the batcher's pop; pop -> wire send is
-                # batch formation (stacking, grouping, fault hooks).
-                request.trace.advance("queue_wait", request.dequeue_time or formed)
-                request.trace.advance("batch", wire_start)
-            try:
-                logits, worker_trace = self._roundtrip(
-                    shard,
-                    stacked,
-                    trace_ids=[r.trace.trace_id for r in traced] if traced else None,
-                )
-            except (ChannelClosed, ProtocolError, TimeoutError) as error:
-                # The worker's wire is gone: everything we popped for this
-                # batch is in flight from the router's perspective.  Requests
-                # with retry budget left are re-dispatched (inference is
-                # pure, so the retry is idempotent); the rest fail with
-                # WorkerCrashed.  The shard's *queue* survives untouched.
-                shard.breaker.record_failure()
-                crash = WorkerCrashed(
-                    f"shard {shard.name} (pid={shard.handle.pid if shard.handle else '?'}) "
-                    f"died with this request in flight: {error}"
-                )
-                remaining = [r for grp in list(groups.values())[group_index:] for r in grp]
-                for request in remaining:
-                    if request.trace is not None:
-                        # Attribute the doomed attempt (send -> crash
-                        # detection) to the wire, so a retried request's
-                        # span still tiles its whole life.
-                        request.trace.advance("wire")
-                    if not self._redispatch(variant, shard, request):
-                        self._fail_request(shard, request, crash)
-                if not self._restart_worker(variant, shard):
-                    return
-                return
-            except Exception as error:  # noqa: BLE001 - typed worker-side failure
-                for request in requests:
-                    self._fail_request(shard, request, error)
-                continue
-            done = time.monotonic()
-            if traced:
-                # Split the observed round trip into the worker's own engine
-                # time (measured in-process, echoed in the reply's trace
-                # block) and everything else: serialization, socket transit,
-                # and worker-side queuing — the wire.
-                wire_total = max(done - wire_start, 0.0)
-                execute_s = 0.0
-                if worker_trace is not None:
-                    execute_s = min(max(float(worker_trace.get("execute_s", 0.0)), 0.0), wire_total)
-                for request in traced:
-                    request.trace.stage("wire", wire_total - execute_s)
-                    request.trace.stage("execute", execute_s)
-                    request.trace.cursor = done
-            shard.breaker.record_success(done)
-            shard.metrics.record_batch(int(stacked.shape[0]), done - formed)
-            shard.metrics.record_served_path(
-                len(requests),
-                fallback=shard.handle.uses_fallback if shard.handle else False,
-            )
-            offset = 0
-            for request in requests:
-                rows = logits[offset : offset + request.num_samples]
-                offset += request.num_samples
-                if request.expired(done):
-                    # The answer arrived after the caller's deadline: a
-                    # deadline contract that only covers queueing is no
-                    # contract at all.
-                    self._expire_request(shard, request)
-                    continue
-                result = rows[0] if request.squeeze else rows
-                try:
-                    request.future.set_result(np.ascontiguousarray(result))
-                except InvalidStateError:
-                    pass
-                shard.metrics.record_completion(
-                    latency_seconds=done - request.enqueue_time,
-                    wait_seconds=formed - request.enqueue_time,
-                    samples=request.num_samples,
-                )
-                self._record_span(shard, request, "completed", finished=done)
-                shard.note_done()
-            if variant.health is not None:
-                # Post-completion so health bookkeeping can never delay (or
-                # fail) a caller's future; the served logits are untouched.
-                try:
-                    variant.health.observe_batch(stacked, logits)
-                except Exception:  # noqa: BLE001 - health must never break serving
-                    pass
-            if self._on_batch is not None:
-                self._on_batch(variant.name, requests)
-
-    def _roundtrip(
-        self,
-        shard: _Shard,
-        stacked: np.ndarray,
-        trace_ids: Optional[List[str]] = None,
-    ) -> "tuple[np.ndarray, Optional[dict]]":
-        """One REQUEST/RESPONSE exchange; raises the typed worker error.
-
-        Only the shard's dispatcher thread ever touches the wire, so the
-        exchange needs no locking — request ids still correlate replies in
-        case a stale frame (e.g. from a boot-time exchange) lingers.
-
-        ``trace_ids`` (when tracing) ride in the version-2 trace block; the
-        worker echoes them back with its measured ``execute_s``, returned
-        here as the second element (``None`` for untraced exchanges).
-        """
-        request_id = shard.next_request_id()
-        channel = shard.handle.channel
-        channel.send(
-            FrameKind.REQUEST,
-            request_id,
-            encode_request(
-                shard.variant.name,
-                stacked,
-                trace={"trace_ids": trace_ids} if trace_ids else None,
-            ),
-        )
-        deadline = time.monotonic() + self.request_timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"no reply within request_timeout_s={self.request_timeout_s}"
-                )
-            frame = channel.recv(timeout=remaining)
-            if frame is None:
-                continue
-            if frame.request_id != request_id:
-                continue  # stale reply from an abandoned exchange
-            if frame.kind == FrameKind.RESPONSE:
-                return decode_response(frame.payload)
-            if frame.kind == FrameKind.ERROR:
-                raise exception_from_error(frame.payload)
-
-    def _restart_worker(self, variant: _Variant, shard: _Shard) -> bool:
-        """Respawn a dead shard worker in place; False when the shard is failed."""
-        dead_pid = shard.handle.pid if shard.handle is not None else None
-        if shard.handle is not None:
-            shard.handle.kill()
-        if self._closed:
-            return False
-        shard.restarts += 1
-        if shard.restarts > self.max_restarts:
-            self._fail_shard(variant, shard)
-            return False
-        try:
-            shard.handle = spawn_worker(
-                variant.options,
-                start_method=self.start_method,
-                boot_timeout=self.boot_timeout_s,
-            )
-        except (WorkerBootError, OSError) as error:
-            self._fail_shard(variant, shard, reason=str(error))
-            return False
-        self.events.emit(
-            "worker_restart",
-            variant=variant.name,
-            shard=shard.name,
-            restarts=shard.restarts,
-            dead_pid=dead_pid,
-            new_pid=shard.handle.pid,
-        )
-        return True
-
-    def _fail_shard(self, variant: _Variant, shard: _Shard, reason: str = "") -> None:
-        """Crash-loop bound hit: fail the shard and everything it still queues."""
-        shard.state = _Shard.FAILED
-        shard.queue.close()
-        detail = f" ({reason})" if reason else ""
-        error = WorkerCrashed(
-            f"shard {shard.name} failed after {shard.restarts - 1} restarts{detail}"
-        )
-        self.events.emit(
-            "shard_failed",
-            variant=variant.name,
-            shard=shard.name,
-            restarts=shard.restarts,
-            reason=reason,
-        )
-        for request in shard.queue.drain_remaining():
-            self._fail_request(shard, request, error)
-        with variant.lock:
-            if shard in variant.shards:
-                variant.shards.remove(shard)
-
-    def _record_span(
-        self, shard: _Shard, request: Request, status: str, finished: Optional[float] = None
-    ) -> None:
-        if request.trace is None:
-            return
-        request.trace.finish(finished)
-        self.spans.record(
-            request.trace.to_span(
-                status=status,
-                variant=shard.variant.name,
-                shard=shard.index,
-                request_id=request.request_id,
-                samples=request.num_samples,
-                priority=request.priority,
-                attempts=request.attempts,
-            )
-        )
-
-    def _fail_request(self, shard: _Shard, request: Request, error: BaseException) -> None:
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        shard.metrics.record_failed()
-        self._record_span(shard, request, "failed")
-        shard.note_done()
-
-    def _expire_request(self, shard: _Shard, request: Request) -> None:
-        """Fail one request whose deadline passed (queued or mid-flight)."""
-        error = DeadlineExceeded(
-            f"request {request.request_id} on {shard.name} exceeded its deadline"
-        )
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        shard.metrics.record_expired()
-        self.events.emit(
-            "request_expired",
-            variant=shard.variant.name,
-            shard=shard.name,
-            request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(shard, request, "expired")
-        shard.note_done()
-
-    def _shed_request(self, shard: _Shard, request: Request) -> None:
-        """Fail one queued request shed to admit a higher-priority one."""
-        error = ServerOverloaded(
-            f"request {request.request_id} on {shard.name} was shed for a "
-            f"higher-priority request"
-        )
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        shard.metrics.record_shed()
-        self.events.emit(
-            "request_shed",
-            variant=shard.variant.name,
-            shard=shard.name,
-            request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(shard, request, "shed")
-        shard.note_done()
-
-    def _redispatch(self, variant: _Variant, shard: _Shard, request: Request) -> bool:
-        """Requeue a crash-interrupted request; False when it must fail.
-
-        The target is another live shard when one exists (the crashed
-        shard's replacement worker is seconds away at best), else the same
-        shard's surviving queue — its dispatcher serves the queue again
-        once the restart completes.  ``put_front`` preserves the request's
-        place at the head of the line; it already waited once.
-        """
-        if self._closed or request.attempts >= self.max_request_retries:
-            return False
-        if request.expired():
-            self._expire_request(shard, request)
-            return True  # handled: expired, not lost
-        try:
-            target = self._pick_shard(variant, excluded={shard})
-        except ServerClosed:
-            target = shard if shard.state == _Shard.LIVE else None
-        if target is None:
-            return False
-        request.attempts += 1
-        target.note_admitted()
-        shard.note_done()
-        target.queue.put_front(request)  # exempt from depth/closed: already admitted
-        target.metrics.record_retried()
-        self.events.emit(
-            "request_retried",
-            variant=variant.name,
-            from_shard=shard.name,
-            to_shard=target.name,
-            request_id=request.request_id,
-            attempt=request.attempts,
-        )
-        return True
-
-    # ------------------------------------------------------------------ #
     # health monitoring
     # ------------------------------------------------------------------ #
     def _monitor_loop(self) -> None:
-        """Detect workers that died while idle; the dispatcher owns restarts."""
+        """Detect workers that died while idle; the shard lane owns restarts."""
         while not self._closed:
             time.sleep(self._MONITOR_SECONDS)
-            for variant in self._variant_list():
-                for shard in variant.all_shards():
-                    if shard.state != _Shard.LIVE or shard.needs_restart:
-                        continue
-                    handle = shard.handle
-                    if handle is not None and not handle.is_alive():
-                        shard.needs_restart = True
+            for lane in self._all_lanes():
+                worker = lane.executor
+                if worker.state != _Worker.LIVE or worker.needs_restart:
+                    continue
+                if worker.handle is not None and not worker.handle.is_alive():
+                    worker.needs_restart = True
 
     def healthy(self, name: Optional[str] = None) -> bool:
         """True when every (or the named) variant has all target shards live.
@@ -1030,52 +630,26 @@ class ClusterServer:
         this reports False until an operator (or the autoscaler) calls
         :meth:`scale` to rebuild it.
         """
-        variants = [self._variant(name)] if name is not None else self._variant_list()
+        variants = [self._route(name)] if name is not None else self._variant_list()
         for variant in variants:
             live = variant.live_shards()
             if len(live) < variant.target_shards:
                 return False
-            for shard in live:
-                if shard.handle is None or not shard.handle.is_alive():
+            for lane in live:
+                handle = lane.executor.handle
+                if handle is None or not handle.is_alive():
                     return False
         return True
 
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def telemetry_targets(self) -> List[Dict[str, object]]:
-        """Label/metrics pairs for the Prometheus exporter: one per shard.
-
-        Each target is ``{"labels": {"variant": ..., "shard": index},
-        "metrics": the shard's live ServerMetrics, "queue_depth": current
-        depth}`` — the contract :func:`repro.obs.collect_families`
-        consumes.  Per-shard (not merged) series keep counters monotonic
-        across scrapes and let dashboards aggregate however they like.
-        """
-        targets: List[Dict[str, object]] = []
-        for variant in self._variant_list():
-            for shard in variant.all_shards():
-                targets.append(
-                    {
-                        "labels": {"variant": variant.name, "shard": str(shard.index)},
-                        "metrics": shard.metrics,
-                        "queue_depth": shard.queue.depth,
-                        # One health object per variant: every shard row
-                        # shares it, and the exporter's identity dedup emits
-                        # the repro_quant_*/repro_drift_* series once under
-                        # the variant-level labels.
-                        "health": variant.health,
-                        "health_labels": {"variant": variant.name},
-                    }
-                )
-        return targets
-
     def enable_model_health(
         self,
         name: Optional[str] = None,
         *,
         reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        shadow_sample_every: Optional[int] = None,
+        shadow_sample_every: int = 16,
         drift_reference_size: int = 256,
         drift_window: int = 512,
         seed: int = 0,
@@ -1092,21 +666,11 @@ class ClusterServer:
         :class:`~repro.obs.health.ShadowExecutor` comparing wire-served
         logits against the local float forward.
 
-        ``shadow_sample_every`` defaults to ``REPRO_SHADOW_SAMPLE_EVERY``
-        (else 16); without a ``reference`` no shadow runs.  Returns the
-        health object (or a name-keyed dict); every shard's telemetry row
-        shares the variant's object.
+        Without a ``reference`` (or with ``shadow_sample_every=0``) no shadow
+        runs.  Returns the health object (or a name-keyed dict); every
+        shard's telemetry row shares the variant's object.
         """
-        if shadow_sample_every is None:
-            try:
-                shadow_sample_every = int(
-                    os.environ.get("REPRO_SHADOW_SAMPLE_EVERY", "16")
-                )
-            except ValueError:
-                shadow_sample_every = 16
-        variants = (
-            [self._variant(name)] if name is not None else self._variant_list()
-        )
+        variants = [self._route(name)] if name is not None else self._variant_list()
         built: Dict[str, ModelHealth] = {}
         for variant in variants:
             shadow = None
@@ -1121,6 +685,8 @@ class ClusterServer:
                     reference_size=drift_reference_size, window=drift_window
                 ),
             )
+            for lane in variant.all_shards():
+                lane.health = variant.health
             built[variant.name] = variant.health
         if name is not None:
             return built[name]
@@ -1131,47 +697,16 @@ class ClusterServer:
 
         Per variant: each shard's consistent :meth:`ServerMetrics.snapshot`
         plus a ``merged`` view (:meth:`ServerMetrics.merged` across shards).
-        The cluster totals sum each variant's merged counters, read through
-        the same torn-read-safe path a process-boundary poller would use.
+        The cluster totals sum every shard's counters, read through the same
+        torn-read-safe path a process-boundary poller would use.
         """
         if name is not None:
-            return self._variant_metrics(self._variant(name))
-        variants = {
-            variant.name: self._variant_metrics(variant)
-            for variant in self._variant_list()
-        }
-        totals = {
-            "requests_admitted": 0,
-            "requests_completed": 0,
-            "requests_failed": 0,
-            "requests_rejected": 0,
-            "requests_expired": 0,
-            "requests_shed": 0,
-            "requests_retried": 0,
-            "breaker_open_total": 0,
-            "samples_completed": 0,
-            "batches_served": 0,
-        }
-        for view in variants.values():
-            requests = view["merged"]["requests"]
-            totals["requests_admitted"] += requests["admitted"]
-            totals["requests_completed"] += requests["completed"]
-            totals["requests_failed"] += requests["failed"]
-            totals["requests_rejected"] += requests["rejected"]
-            totals["requests_expired"] += requests["expired"]
-            totals["requests_shed"] += requests["shed"]
-            totals["requests_retried"] += requests["retried"]
-            totals["breaker_open_total"] += view["merged"]["breaker_open_total"]
-            totals["samples_completed"] += view["merged"]["samples_completed"]
-            totals["batches_served"] += view["merged"]["batches"]["served"]
+            return self._variant_metrics(self._route(name))
         return {
-            "cluster": {
-                "running": self.running,
-                "max_batch_size": self.max_batch_size,
-                "max_delay_ms": self.max_delay_ms,
-                "max_queue_depth": self.max_queue_depth,
-                "start_method": self.start_method,
-                "variants_hosted": {
+            "cluster": self._summary(
+                {"breaker_open_total": "breaker_open"},
+                start_method=self.start_method,
+                variants_hosted={
                     v.name: {
                         "mode": v.options.mode,
                         "shards": len(v.live_shards()),
@@ -1181,10 +716,9 @@ class ClusterServer:
                     }
                     for v in self._variant_list()
                 },
-                "scaling_events": self.scaling_events,
-                **totals,
-            },
-            "variants": variants,
+                scaling_events=self.scaling_events,
+            ),
+            "variants": {v.name: self._variant_metrics(v) for v in self._variant_list()},
         }
 
     def variant_load(self, name: str) -> Dict[str, object]:
@@ -1196,14 +730,14 @@ class ClusterServer:
         shard's p95 (the conservative trigger for scaling — one drowning
         shard is exactly what another shard would relieve).
         """
-        variant = self._variant(name)
+        variant = self._route(name)
         shards = variant.live_shards()
         counters = [shard.metrics.counters() for shard in shards]
         return {
             "live_shards": len(shards),
             "target_shards": variant.target_shards,
             "bounds": (variant.min_shards, variant.max_shards),
-            "outstanding": sum(shard.outstanding for shard in shards),
+            "outstanding": sum(shard.pending for shard in shards),
             "queue_depth": sum(shard.queue.depth for shard in shards),
             "p95_latency_ms": max(
                 (shard.metrics.latency_percentile_ms(95.0) for shard in shards),
@@ -1219,26 +753,24 @@ class ClusterServer:
         return {
             "shards": {
                 shard.name: {
-                    "state": shard.state,
-                    "breaker": shard.breaker.state,
-                    "pid": shard.handle.pid if shard.handle else None,
-                    "restarts": shard.restarts,
-                    "outstanding": shard.outstanding,
+                    "state": shard.executor.state,
+                    "breaker": shard.executor.breaker.state,
+                    "pid": shard.executor.pid,
+                    "restarts": shard.executor.restarts,
+                    "outstanding": shard.pending,
                     "queue_depth": shard.queue.depth,
-                    "uses_fallback": shard.handle.uses_fallback if shard.handle else None,
+                    "uses_fallback": (
+                        shard.executor.uses_fallback if shard.executor.handle else None
+                    ),
                     "metrics": shard.metrics.snapshot(queue_depth=shard.queue.depth),
                 }
                 for shard in shards
             },
             "merged": merged.snapshot(queue_depth=queue_depth),
-            "live_shards": len([s for s in shards if s.state == _Shard.LIVE]),
+            "live_shards": len([s for s in shards if s.executor.state == _Worker.LIVE]),
             "target_shards": variant.target_shards,
         }
 
-    def metrics_json(self, name: Optional[str] = None, indent: int = 2) -> str:
-        return json.dumps(self.metrics(name), indent=indent)
-
     def __repr__(self) -> str:
-        state = "running" if self.running else ("stopped" if self._closed else "idle")
         shards = {v.name: len(v.live_shards()) for v in self._variant_list()}
-        return f"ClusterServer(variants={shards}, state={state})"
+        return f"ClusterServer(variants={shards}, state={self._state})"

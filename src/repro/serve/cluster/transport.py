@@ -111,7 +111,7 @@ class FrameChannel:
         """Read the next frame; ``None`` when ``timeout`` expires first.
 
         Partial frames survive timeouts in an internal buffer, so a polling
-        consumer (the router's dispatcher checks for shutdown between polls)
+        consumer (a shard lane checks for shutdown between polls)
         can call ``recv(0.1)`` in a loop without ever corrupting the stream.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -128,6 +128,23 @@ class FrameChannel:
         if injector is not None and not injector.on_recv(self, frame):
             return None  # chaos dropped the inbound frame after parsing
         return frame
+
+    def wait_for(
+        self, request_id: int, kinds: Tuple[FrameKind, ...], timeout: Optional[float]
+    ) -> Frame:
+        """The next frame answering ``request_id`` with one of ``kinds``.
+
+        Anything else (e.g. a stale reply from an abandoned exchange) is
+        skipped; :class:`TimeoutError` once ``timeout`` seconds have passed.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError(f"no reply to frame {request_id} within {timeout}s")
+            frame = self.recv(timeout=remaining)
+            if frame is not None and frame.request_id == request_id and frame.kind in kinds:
+                return frame
 
     def _fill(self, needed: int, deadline: Optional[float]) -> bool:
         """Buffer at least ``needed`` bytes; False on timeout, raises on EOF."""
@@ -456,7 +473,9 @@ class ClusterClient:
         with self._lock:
             request_id = next(self._request_ids)
             self._channel.send(FrameKind.REQUEST, request_id, encode_request(model_name, array))
-            frame = self._wait_for(request_id, (FrameKind.RESPONSE, FrameKind.ERROR), timeout)
+            frame = self._channel.wait_for(
+                request_id, (FrameKind.RESPONSE, FrameKind.ERROR), timeout
+            )
         if frame.kind == FrameKind.ERROR:
             raise exception_from_error(frame.payload)
         logits, _ = decode_ndarray(frame.payload)
@@ -468,7 +487,7 @@ class ClusterClient:
             request_id = next(self._request_ids)
             try:
                 self._channel.send(FrameKind.PING, request_id)
-                self._wait_for(request_id, (FrameKind.PONG,), timeout)
+                self._channel.wait_for(request_id, (FrameKind.PONG,), timeout)
             except (TimeoutError, ChannelClosed):
                 return False
         return True
@@ -477,23 +496,8 @@ class ClusterClient:
         with self._lock:
             request_id = next(self._request_ids)
             self._channel.send(FrameKind.METRICS, request_id)
-            frame = self._wait_for(request_id, (FrameKind.METRICS_REPLY,), timeout)
+            frame = self._channel.wait_for(request_id, (FrameKind.METRICS_REPLY,), timeout)
         return decode_json(frame.payload)
-
-    def _wait_for(self, request_id: int, kinds: Tuple[FrameKind, ...], timeout: Optional[float]) -> Frame:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise TimeoutError(
-                    f"no reply to request {request_id} within the timeout"
-                )
-            frame = self._channel.recv(timeout=remaining)
-            if frame is None:
-                continue
-            if frame.request_id == request_id and frame.kind in kinds:
-                return frame
-            # A stale reply (e.g. from an abandoned timeout) — skip it.
 
     def close(self) -> None:
         self._channel.close()

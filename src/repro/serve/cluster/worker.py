@@ -273,16 +273,10 @@ class WorkerHandle:
         """Liveness probe over the wire (only meaningful on an idle channel)."""
         try:
             self.channel.send(FrameKind.PING, 0)
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                frame = self.channel.recv(timeout=remaining)
-                if frame is not None and frame.kind == FrameKind.PONG:
-                    return True
-        except ChannelClosed:
+            self.channel.wait_for(0, (FrameKind.PONG,), timeout)
+        except (ChannelClosed, TimeoutError):
             return False
+        return True
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Orderly stop: SHUTDOWN frame, join, then escalate to kill."""

@@ -12,6 +12,9 @@ this package turns it into a *service*.  The pieces compose bottom-up:
   variants, each pinned to its own worker thread and engine;
 * :class:`ServerMetrics` (:mod:`.metrics`) — p50/p95/p99 latency, queue
   depth, batch-occupancy histogram and throughput, exportable as JSON;
+* :class:`~.lane.Lane` (:mod:`.lane`) — the serving core shared with the
+  cluster: one queue, batcher, metrics set and worker thread per lane,
+  handing each stacked micro-batch to an executor;
 * :class:`ModelServer` (:mod:`.server`) — the facade: lifecycle
   (``start``/``stop``/``drain``, context manager), a future-returning
   :meth:`~ModelServer.submit` and a synchronous

@@ -38,6 +38,16 @@ from ...utils.timing import RollingHistogram
 __all__ = ["ServerMetrics"]
 
 
+def _locked_read(field: str, doc: Optional[str] = None) -> property:
+    """A read-only property returning ``self._<field>`` under the instance lock."""
+
+    def read(self) -> int:
+        with self._lock:
+            return getattr(self, f"_{field}")
+
+    return property(read, doc=doc)
+
+
 class ServerMetrics:
     """Thread-safe telemetry accumulator for one served model (or shard)."""
 
@@ -164,81 +174,23 @@ class ServerMetrics:
     # ------------------------------------------------------------------ #
     # consistent reads
     # ------------------------------------------------------------------ #
-    @property
-    def admitted(self) -> int:
-        with self._lock:
-            return self._admitted
-
-    @property
-    def rejected(self) -> int:
-        with self._lock:
-            return self._rejected
-
-    @property
-    def completed(self) -> int:
-        with self._lock:
-            return self._completed
-
-    @property
-    def failed(self) -> int:
-        with self._lock:
-            return self._failed
-
-    @property
-    def cancelled(self) -> int:
-        with self._lock:
-            return self._cancelled
-
-    @property
-    def batches(self) -> int:
-        with self._lock:
-            return self._batches
-
-    @property
-    def samples(self) -> int:
-        with self._lock:
-            return self._samples
-
-    @property
-    def depth_highwater(self) -> int:
-        with self._lock:
-            return self._depth_highwater
-
-    @property
-    def served_compiled(self) -> int:
-        with self._lock:
-            return self._served_compiled
-
-    @property
-    def served_fallback(self) -> int:
-        with self._lock:
-            return self._served_fallback
-
-    @property
-    def expired(self) -> int:
-        with self._lock:
-            return self._expired
-
-    @property
-    def shed(self) -> int:
-        with self._lock:
-            return self._shed
-
-    @property
-    def retried(self) -> int:
-        with self._lock:
-            return self._retried
-
-    @property
-    def breaker_open_total(self) -> int:
-        with self._lock:
-            return self._breaker_open
-
-    @property
-    def parts(self) -> int:
-        """How many recording parts this instance aggregates (1 = direct)."""
-        with self._lock:
-            return self._parts
+    admitted = _locked_read("admitted")
+    rejected = _locked_read("rejected")
+    completed = _locked_read("completed")
+    failed = _locked_read("failed")
+    cancelled = _locked_read("cancelled")
+    batches = _locked_read("batches")
+    samples = _locked_read("samples")
+    depth_highwater = _locked_read("depth_highwater")
+    served_compiled = _locked_read("served_compiled")
+    served_fallback = _locked_read("served_fallback")
+    expired = _locked_read("expired")
+    shed = _locked_read("shed")
+    retried = _locked_read("retried")
+    breaker_open_total = _locked_read("breaker_open")
+    parts = _locked_read(
+        "parts", "How many recording parts this instance aggregates (1 = direct)."
+    )
 
     def latency_percentile_ms(self, q: float) -> float:
         """One percentile of the end-to-end latency window, in milliseconds.

@@ -23,8 +23,8 @@ Two sharing rules keep variants from cross-contaminating:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from ..engine import InferenceEngine
 
@@ -91,12 +91,6 @@ class ModelRegistry:
             entry = ModelEntry(name=name, engine=engine, description=description)
             self._entries[name] = entry
             return entry
-
-    def unregister(self, name: str) -> ModelEntry:
-        with self._lock:
-            if name not in self._entries:
-                raise KeyError(self._missing(name))
-            return self._entries.pop(name)
 
     def get(self, name: str) -> ModelEntry:
         with self._lock:

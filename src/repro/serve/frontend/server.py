@@ -1,190 +1,71 @@
-"""The concurrent model server: queue -> batcher -> engine -> futures.
+"""The in-process model server: one lane per hosted model, run on a thread.
 
-:class:`ModelServer` is the deployment facade over the whole serving stack.
-Clients on any number of threads call :meth:`submit` (future-returning) or
-:meth:`predict` (synchronous); per hosted model, a bounded
-:class:`~repro.serve.frontend.queuing.RequestQueue` absorbs the burst, a
-:class:`~repro.serve.frontend.batcher.DynamicBatcher` coalesces concurrent
-single-sample requests into backend-friendly micro-batches under a latency
-deadline, and one dedicated worker thread drives the model's
-:class:`~repro.serve.InferenceEngine` over each batch and scatters the logits
-rows back into the callers' futures.
-
-Design invariants:
-
-* **One worker per engine.**  Engines (and the autograd modules under them)
-  are not thread-safe; pinning each engine to exactly one worker thread makes
-  the whole stack safe without locking the hot path.  Concurrency across
-  *models* is real (one thread per registry entry); concurrency within a
-  model comes from batching, which on BLAS-backed kernels is where the
-  throughput lives anyway.
-* **Batched results are bitwise-identical to a direct engine call.**  The
-  worker stacks request arrays in arrival order and calls
-  ``engine.predict_logits`` once per micro-batch — each caller receives
-  exactly the rows that a direct call on the stacked batch would produce.
-* **Failures are per-request.**  Requests are grouped by sample shape before
-  stacking, so one malformed request can only fail its own future (and any
-  request with the same bad shape), never the co-batched others.
-* **Lifecycle is explicit.**  ``start`` spawns workers, ``stop(drain=True)``
-  completes everything already admitted before returning, ``stop(drain=False)``
-  fails queued futures with :class:`~repro.serve.frontend.queuing.ServerClosed`,
-  and the context manager maps to ``start``/``stop(drain=True)``.  Submitting
-  before ``start`` is allowed — requests queue up and are served once workers
-  run (tests use this for deterministic batch composition).
+:class:`ModelServer` is the deployment facade over a
+:class:`~repro.serve.frontend.registry.ModelRegistry`.  Clients on any number
+of threads call :meth:`~ModelServer.submit` (future-returning) or
+:meth:`~ModelServer.predict` (synchronous); each hosted model gets one
+:class:`~repro.serve.frontend.lane.Lane` (queue, batcher, metrics, one worker
+thread) whose :class:`LocalExecutor` calls the model's
+:class:`~repro.serve.InferenceEngine` on each micro-batch.  The lane's
+invariants (one worker per engine, bitwise batched results, per-request
+failures, explicit lifecycle) are stated in :mod:`.lane`.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import os
 import threading
-import time
-from collections import OrderedDict
-from concurrent.futures import Future, InvalidStateError
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...nn.tensor import no_grad
-from ...obs import EventLog, SpanRecorder, TraceContext
 from ...obs.health import DriftDetector, ModelHealth, QuantHealthTap, ShadowExecutor
-from .batcher import DynamicBatcher
-from .metrics import ServerMetrics
-from .queuing import (
-    DeadlineExceeded,
-    Request,
-    RequestQueue,
-    ServerClosed,
-    ServerOverloaded,
-)
+from .lane import Executor, Lane, ServingCore
+from .queuing import ServerClosed
 from .registry import ModelEntry, ModelRegistry
 
 __all__ = ["ModelServer"]
 
-# Called after a micro-batch is served, with (model_name, requests_in_batch
-# order).  A telemetry/testing hook: the parity tests reconstruct the exact
-# stacked batch from it and compare against a direct engine call.
-BatchObserver = Callable[[str, List[Request]], None]
 
+class LocalExecutor(Executor):
+    """Runs ``engine.predict_logits`` in-process under the model lock."""
 
-class _Lane:
-    """Per-hosted-model serving state: queue, batcher, metrics, worker."""
-
-    def __init__(self, entry: ModelEntry, queue: RequestQueue, batcher: DynamicBatcher,
-                 metrics: ServerMetrics, model_lock: threading.Lock) -> None:
-        self.entry = entry
-        self.queue = queue
-        self.batcher = batcher
-        self.metrics = metrics
+    def __init__(self, engine, model_lock: threading.Lock) -> None:
+        self.engine = engine
         # Shared between lanes hosting the same model object (float + integer
         # variants of one checkpoint): engine.predict_logits toggles the
         # model's train/eval mode, so two engines over one model must never
         # serve concurrently.  Lanes over distinct models get distinct locks
         # and never contend.
         self.model_lock = model_lock
-        # Optional repro.obs.health.ModelHealth attached by
-        # ModelServer.enable_model_health(); fed after each served batch.
-        self.health: Optional[ModelHealth] = None
-        self.worker: Optional[threading.Thread] = None
-        self._pending = 0
-        self._idle = threading.Condition()
 
     @property
-    def name(self) -> str:
-        return self.entry.name
+    def uses_fallback(self) -> bool:
+        return self.engine.uses_fallback
 
-    @property
-    def engine(self):
-        return self.entry.engine
-
-    def note_admitted(self) -> None:
-        with self._idle:
-            self._pending += 1
-
-    def note_done(self) -> None:
-        with self._idle:
-            self._pending -= 1
-            if self._pending <= 0:
-                self._idle.notify_all()
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0, timeout)
-
-    @property
-    def pending(self) -> int:
-        with self._idle:
-            return self._pending
+    def __call__(self, batch: np.ndarray, trace_ids) -> Tuple[np.ndarray, None]:
+        with self.model_lock:
+            return self.engine.predict_logits(batch), None
 
 
-class ModelServer:
+class ModelServer(ServingCore):
     """Concurrent, dynamically-batched serving over a multi-model registry.
 
-    Parameters
-    ----------
-    registry:
-        An existing :class:`ModelRegistry` to serve (one is created when
-        omitted); :meth:`register` adds models either way.
-    max_batch_size:
-        Hard bound on the samples coalesced into one micro-batch.
-    max_delay_ms:
-        Micro-batch deadline: how long the first request of a batch may wait
-        for co-travellers before being served (the latency price of
-        batching).
-    max_queue_depth:
-        Per-model admission-control bound; :meth:`submit` beyond it raises
-        :class:`ServerOverloaded` (``block=False``) or blocks
-        (``block=True``).
-    latency_window:
-        Number of recent requests the latency percentiles cover.
-    on_batch:
-        Optional observer called after each served micro-batch with
-        ``(model_name, requests)`` — a telemetry/testing hook.
-    trace:
-        When true (the default), every request carries a
-        :class:`~repro.obs.TraceContext` and its finished span (queue-wait /
-        batch / execute stage durations) lands in :attr:`spans`, a bounded
-        ring.  The per-request cost is one small object and a few
-        ``time.monotonic()`` reads.
-    span_capacity:
-        How many finished spans the ring retains.
+    Each hosted model gets one :class:`~repro.serve.frontend.lane.Lane` over a
+    :class:`LocalExecutor`.
+
+    ``registry`` is an existing :class:`ModelRegistry` to serve (one is
+    created when omitted); :meth:`register` adds models either way.  The
+    keyword options (``max_batch_size``, ``max_delay_ms``,
+    ``max_queue_depth``, ``latency_window``, ``on_batch``, ``trace``,
+    ``span_capacity``) are the serving core's, applied per lane.
     """
 
-    _POLL_SECONDS = 0.05
-
-    def __init__(
-        self,
-        registry: Optional[ModelRegistry] = None,
-        *,
-        max_batch_size: int = 32,
-        max_delay_ms: float = 2.0,
-        max_queue_depth: int = 512,
-        latency_window: int = 8192,
-        on_batch: Optional[BatchObserver] = None,
-        trace: bool = True,
-        span_capacity: int = 2048,
-    ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
+    def __init__(self, registry: Optional[ModelRegistry] = None, **options) -> None:
+        super().__init__(**options)
         self.registry = registry if registry is not None else ModelRegistry()
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay_ms = float(max_delay_ms)
-        self.max_queue_depth = int(max_queue_depth)
-        self.latency_window = int(latency_window)
-        self._on_batch = on_batch
-        self.trace_enabled = bool(trace)
-        self.spans = SpanRecorder(span_capacity)
-        self.events = EventLog()
-        self._lanes: "Dict[str, _Lane]" = {}
+        self._lanes: "Dict[str, Lane]" = {}
         self._model_locks: "Dict[int, threading.Lock]" = {}
-        self._lock = threading.Lock()
-        self._started = False
-        self._closed = False
-        self._abort = threading.Event()
-        self._request_ids = itertools.count(1)
         for entry in self.registry.entries():
             self._ensure_lane(entry)
 
@@ -225,35 +106,27 @@ class ModelServer:
         self._ensure_lane(entry)
         return entry
 
-    def _ensure_lane(self, entry: ModelEntry) -> _Lane:
+    def _ensure_lane(self, entry: ModelEntry) -> Lane:
         with self._lock:
             if self._closed:
                 raise ServerClosed("cannot register models on a stopped server")
             lane = self._lanes.get(entry.name)
             if lane is None:
-                queue = RequestQueue(max_depth=self.max_queue_depth)
-                batcher = DynamicBatcher(
-                    queue,
-                    max_batch_size=self.max_batch_size,
-                    max_delay=self.max_delay_ms / 1e3,
-                )
                 model_lock = self._model_locks.setdefault(
                     id(entry.engine.model), threading.Lock()
                 )
-                lane = _Lane(
-                    entry, queue, batcher, ServerMetrics(self.latency_window), model_lock
-                )
-                # Deadline-aware eviction: a request that expires while queued
-                # is failed with the typed error and never wins a batch slot.
-                batcher.on_expired = lambda request, lane=lane: self._expire_request(
-                    lane, request
+                lane = Lane(
+                    self,
+                    LocalExecutor(entry.engine, model_lock),
+                    entry.name,
+                    {"model": entry.name},
                 )
                 self._lanes[entry.name] = lane
                 if self._started:
-                    self._spawn_worker(lane)
+                    lane.start()
             return lane
 
-    def _lane(self, model_name: str) -> _Lane:
+    def _route(self, model_name: str) -> Lane:
         lane = self._lanes.get(model_name)
         if lane is None:
             # Registered directly on the registry after construction.
@@ -261,379 +134,24 @@ class ModelServer:
             lane = self._ensure_lane(entry)
         return lane
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "ModelServer":
+    def _all_lanes(self) -> List[Lane]:
+        with self._lock:  # live registration mutates _lanes concurrently
+            return list(self._lanes.values())
+
+    def _launch(self) -> None:
         with self._lock:
-            if self._closed:
-                raise ServerClosed("this server was stopped; build a new one")
-            if self._started:
-                raise RuntimeError("the server is already running")
-            self._started = True
             for lane in self._lanes.values():
-                self._spawn_worker(lane)
-        return self
-
-    def _spawn_worker(self, lane: _Lane) -> None:
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(lane,),
-            name=f"model-server/{lane.name}",
-            daemon=True,
-        )
-        lane.worker = worker
-        worker.start()
-
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting requests and shut the worker pool down.
-
-        ``drain=True`` serves everything already admitted before returning;
-        ``drain=False`` fails still-queued futures with :class:`ServerClosed`
-        (the in-flight micro-batch always completes — a BLAS call cannot be
-        interrupted).  ``timeout`` bounds the per-worker join.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not drain:
-                self._abort.set()
-            lanes = list(self._lanes.values())
-            was_started = self._started
-        for lane in lanes:
-            lane.queue.close()
-        if was_started:
-            for lane in lanes:
-                if lane.worker is not None:
-                    lane.worker.join(timeout)
-        error = ServerClosed("the server stopped before this request was served")
-        for lane in lanes:
-            for request in lane.queue.drain_remaining():
-                self._fail_request(lane, request, error)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted request has completed (server keeps running)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            lanes = list(self._lanes.values())
-        for lane in lanes:
-            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if not lane.wait_idle(remaining):
-                return False
-        return True
-
-    @property
-    def running(self) -> bool:
-        return self._started and not self._closed
-
-    def __enter__(self) -> "ModelServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.stop(drain=exc_type is None)
-
-    # ------------------------------------------------------------------ #
-    # submission API
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        model_name: str,
-        inputs,
-        block: bool = True,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-        priority: int = 0,
-        trace_id: Optional[str] = None,
-    ) -> "Future[np.ndarray]":
-        """Enqueue one request; returns a future resolving to its logits.
-
-        ``inputs`` is a single sample ``(C, H, W)`` (the future resolves to
-        one logits row) or a small batch ``(n, C, H, W)`` with ``n`` at most
-        ``max_batch_size`` (the future resolves to ``n`` rows).  Larger
-        offline batches belong on :meth:`InferenceEngine.predict_logits`
-        directly.  ``block``/``timeout`` select backpressure (wait for queue
-        space) versus admission control (:class:`ServerOverloaded` at once).
-
-        ``deadline_s`` bounds how long the caller will wait for the answer:
-        a request that expires while queued (or mid-flight) fails with the
-        typed :class:`DeadlineExceeded` and never occupies a batch slot.
-        ``priority`` feeds load shedding: when admission control trips on a
-        full queue, a strictly lower-priority queued request is shed (failed
-        with :class:`ServerOverloaded`) to make room, instead of rejecting
-        the higher-priority newcomer.
-
-        ``trace_id`` names the request's trace span (auto-generated when
-        tracing is on and none is given); look the finished span up with
-        ``server.spans.find(trace_id)``.
-        """
-        if self._closed:
-            raise ServerClosed("the server is stopped")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-        lane = self._lane(model_name)
-        array = np.ascontiguousarray(np.asarray(inputs, dtype=np.float32))
-        if array.ndim == 3:
-            array = array[np.newaxis]
-            squeeze = True
-        elif array.ndim == 4:
-            squeeze = False
-        else:
-            raise ValueError(
-                f"expected a (C, H, W) sample or (n, C, H, W) small batch, "
-                f"got shape {array.shape}"
-            )
-        if array.shape[0] == 0:
-            raise ValueError("cannot submit an empty request")
-        if array.shape[0] > self.max_batch_size:
-            raise ValueError(
-                f"request of {array.shape[0]} samples exceeds max_batch_size="
-                f"{self.max_batch_size}; use InferenceEngine.predict_logits "
-                f"for large offline batches"
-            )
-        now = time.monotonic()
-        request = Request(
-            inputs=array,
-            future=Future(),
-            squeeze=squeeze,
-            enqueue_time=now,
-            request_id=next(self._request_ids),
-            deadline=None if deadline_s is None else now + deadline_s,
-            priority=int(priority),
-            trace=TraceContext(trace_id, started=now) if self.trace_enabled else None,
-        )
-        lane.note_admitted()
-        try:
-            lane.queue.put(request, block=block, timeout=timeout)
-        except ServerOverloaded:
-            victim = None
-            try:
-                victim = lane.queue.shed_lower_priority(request)
-            except ServerOverloaded:
-                lane.note_done()
-                lane.metrics.record_rejected()
-                raise
-            except ServerClosed:
-                lane.note_done()
-                raise
-            if victim is not None:
-                self._shed_request(lane, victim)
-        except ServerClosed:
-            lane.note_done()
-            raise
-        lane.metrics.record_admitted(lane.queue.depth)
-        return request.future
-
-    def predict(
-        self,
-        model_name: str,
-        inputs,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-    ) -> np.ndarray:
-        """Synchronous :meth:`submit`: blocks until the logits are ready."""
-        return self.submit(model_name, inputs, trace_id=trace_id).result(timeout)
-
-    def predict_classes(
-        self,
-        model_name: str,
-        inputs,
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        """Class predictions (argmax over the logits axis)."""
-        return self.predict(model_name, inputs, timeout=timeout).argmax(axis=-1)
-
-    # ------------------------------------------------------------------ #
-    # worker loop
-    # ------------------------------------------------------------------ #
-    def _worker_loop(self, lane: _Lane) -> None:
-        while True:
-            batch = lane.batcher.next_batch(timeout=self._POLL_SECONDS)
-            if batch:
-                if self._abort.is_set():
-                    error = ServerClosed("the server stopped before this request was served")
-                    for request in batch:
-                        self._fail_request(lane, request, error)
-                else:
-                    self._serve_batch(lane, batch)
-                continue
-            if lane.queue.closed:
-                break
-
-    def _serve_batch(self, lane: _Lane, batch: List[Request]) -> None:
-        formed = time.monotonic()
-        live: List[Request] = []
-        for request in batch:
-            if request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                lane.metrics.record_cancelled()
-                lane.note_done()
-        if not live:
-            return
-        # Group by per-sample shape so a malformed request can only fail its
-        # own group — never the well-formed co-batched requests.
-        groups: "OrderedDict[tuple, List[Request]]" = OrderedDict()
-        for request in live:
-            groups.setdefault(request.sample_shape, []).append(request)
-        for requests in groups.values():
-            stacked = (
-                requests[0].inputs
-                if len(requests) == 1
-                else np.concatenate([r.inputs for r in requests], axis=0)
-            )
-            serve_start = time.monotonic()
-            for request in requests:
-                if request.trace is not None:
-                    # queue_wait ends at the batcher's pop; everything from
-                    # there to the engine call is batch formation.
-                    request.trace.advance("queue_wait", request.dequeue_time or formed)
-                    request.trace.advance("batch", serve_start)
-            try:
-                with lane.model_lock:
-                    logits = lane.engine.predict_logits(stacked)
-            except Exception as error:  # noqa: BLE001 - forwarded to futures
-                for request in requests:
-                    self._fail_request(lane, request, error)
-                continue
-            done = time.monotonic()
-            for request in requests:
-                if request.trace is not None:
-                    request.trace.advance("execute", done)
-            lane.metrics.record_batch(int(stacked.shape[0]), done - formed)
-            # Attribute the served requests to the engine path that ran them
-            # (read after the call: the first predict is what traces the
-            # plan or falls back).
-            lane.metrics.record_served_path(
-                len(requests), fallback=lane.engine.uses_fallback
-            )
-            offset = 0
-            for request in requests:
-                rows = logits[offset : offset + request.num_samples]
-                offset += request.num_samples
-                if request.expired(done):
-                    # Expired mid-flight: the caller stopped waiting, so the
-                    # answer is discarded and the typed error is returned.
-                    self._expire_request(lane, request)
-                    continue
-                result = rows[0] if request.squeeze else rows
-                try:
-                    request.future.set_result(np.ascontiguousarray(result))
-                except InvalidStateError:
-                    pass  # cancelled between set_running and completion: impossible, but harmless
-                lane.metrics.record_completion(
-                    latency_seconds=done - request.enqueue_time,
-                    wait_seconds=formed - request.enqueue_time,
-                    samples=request.num_samples,
-                )
-                self._record_span(lane, request, "completed", finished=done)
-                lane.note_done()
-            if lane.health is not None:
-                # Post-completion so health bookkeeping can never delay (or
-                # fail) a caller's future; the served logits are untouched.
-                try:
-                    lane.health.observe_batch(stacked, logits)
-                except Exception:  # noqa: BLE001 - health must never break serving
-                    pass
-            if self._on_batch is not None:
-                self._on_batch(lane.name, requests)
-
-    def _record_span(
-        self, lane: _Lane, request: Request, status: str, finished: Optional[float] = None
-    ) -> None:
-        if request.trace is None:
-            return
-        request.trace.finish(finished)
-        self.spans.record(
-            request.trace.to_span(
-                status=status,
-                model=lane.name,
-                request_id=request.request_id,
-                samples=request.num_samples,
-                priority=request.priority,
-                attempts=request.attempts,
-            )
-        )
-
-    def _fail_request(self, lane: _Lane, request: Request, error: BaseException) -> None:
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        lane.metrics.record_failed()
-        self._record_span(lane, request, "failed")
-        lane.note_done()
-
-    def _expire_request(self, lane: _Lane, request: Request) -> None:
-        """Fail an expired request with the typed error; counted separately."""
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(
-                    DeadlineExceeded(
-                        f"request {request.request_id} on {lane.name!r} missed its "
-                        f"deadline by {time.monotonic() - (request.deadline or 0.0):.3f}s"
-                    )
-                )
-            except InvalidStateError:
-                pass
-        lane.metrics.record_expired()
-        self.events.emit(
-            "request_expired", model=lane.name, request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(lane, request, "expired")
-        lane.note_done()
-
-    def _shed_request(self, lane: _Lane, request: Request) -> None:
-        """Fail a shed victim: a higher-priority arrival took its queue slot."""
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(
-                    ServerOverloaded(
-                        f"request {request.request_id} on {lane.name!r} was shed "
-                        f"for a higher-priority request"
-                    )
-                )
-            except InvalidStateError:
-                pass
-        lane.metrics.record_shed()
-        self.events.emit(
-            "request_shed", model=lane.name, request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(lane, request, "shed")
-        lane.note_done()
+                lane.start()
 
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def telemetry_targets(self) -> List[Dict[str, object]]:
-        """Label/metrics pairs for the Prometheus exporter: one per lane.
-
-        Each target is ``{"labels": {"model": name}, "metrics": the lane's
-        live ServerMetrics, "queue_depth": current depth}`` — the contract
-        :func:`repro.obs.collect_families` consumes.
-        """
-        with self._lock:
-            lanes = dict(self._lanes)
-        return [
-            {
-                "labels": {"model": name},
-                "metrics": lane.metrics,
-                "queue_depth": lane.queue.depth,
-                "health": lane.health,
-                "health_labels": {"model": name},
-            }
-            for name, lane in lanes.items()
-        ]
-
     def enable_model_health(
         self,
         model_name: Optional[str] = None,
         *,
         tap_sample_every: int = 16,
-        shadow_sample_every: Optional[int] = None,
+        shadow_sample_every: int = 16,
         drift_reference_size: int = 256,
         drift_window: int = 512,
         seed: int = 0,
@@ -651,50 +169,38 @@ class ModelServer:
         over served prediction entropy/class histograms.  Served logits stay
         bitwise-identical — everything here observes after the fact.
 
-        ``shadow_sample_every`` defaults to ``REPRO_SHADOW_SAMPLE_EVERY``
-        (else 16); ``0`` disables the shadow entirely.  Returns the health
-        object (or a name-keyed dict of them) — the exporter picks the same
-        objects up through :meth:`telemetry_targets`.
+        ``shadow_sample_every=0`` disables the shadow entirely.  Returns the
+        health object (or a name-keyed dict of them) — the exporter picks
+        the same objects up through :meth:`telemetry_targets`.
         """
-        if shadow_sample_every is None:
-            try:
-                shadow_sample_every = int(
-                    os.environ.get("REPRO_SHADOW_SAMPLE_EVERY", "16")
-                )
-            except ValueError:
-                shadow_sample_every = 16
-        with self._lock:
-            lanes = (
-                {model_name: self._lane(model_name)}
-                if model_name is not None
-                else dict(self._lanes)
-            )
+        lanes = [self._route(model_name)] if model_name is not None else self._all_lanes()
         built: Dict[str, ModelHealth] = {}
-        for name, lane in lanes.items():
+        for lane in lanes:
+            executor = lane.executor
             tap = QuantHealthTap(sample_every=tap_sample_every, seed=seed)
-            lane.engine.enable_health_tap(tap)
+            executor.engine.enable_health_tap(tap)
             shadow = None
             if shadow_sample_every > 0:
                 shadow = ShadowExecutor(
-                    self._shadow_reference(lane),
+                    self._shadow_reference(executor),
                     sample_every=shadow_sample_every,
                     seed=seed,
                 )
             lane.health = ModelHealth(
-                name,
+                lane.name,
                 quant=tap,
                 shadow=shadow,
                 drift=DriftDetector(
                     reference_size=drift_reference_size, window=drift_window
                 ),
             )
-            built[name] = lane.health
+            built[lane.name] = lane.health
         if model_name is not None:
             return built[model_name]
         return built
 
     @staticmethod
-    def _shadow_reference(lane: _Lane) -> Callable[[np.ndarray], np.ndarray]:
+    def _shadow_reference(executor: LocalExecutor) -> Callable[[np.ndarray], np.ndarray]:
         """A float module-path forward over the lane's model, made safe.
 
         Takes the lane's model lock (the engine worker holds it while
@@ -703,8 +209,8 @@ class ModelServer:
         """
 
         def reference(batch: np.ndarray) -> np.ndarray:
-            engine = lane.engine
-            with lane.model_lock, no_grad():
+            engine = executor.engine
+            with executor.model_lock, no_grad():
                 was_training = engine.model.training
                 engine.model.eval()
                 try:
@@ -717,49 +223,21 @@ class ModelServer:
     def metrics(self, model_name: Optional[str] = None) -> Dict[str, object]:
         """Telemetry snapshot: one model's, or every model's plus totals."""
         if model_name is not None:
-            lane = self._lane(model_name)
+            lane = self._route(model_name)
             return lane.metrics.snapshot(queue_depth=lane.queue.depth)
-        with self._lock:  # live registration mutates _lanes concurrently
-            lanes = dict(self._lanes)
-        models = {
-            name: lane.metrics.snapshot(queue_depth=lane.queue.depth)
-            for name, lane in lanes.items()
-        }
-        # One locked counters() read per lane: each lane's contribution to
-        # the totals is internally consistent (no torn reads between the
-        # per-field sums while workers are recording).
-        counters = [lane.metrics.counters() for lane in lanes.values()]
-        totals = {
-            "requests_admitted": sum(c["admitted"] for c in counters),
-            "requests_completed": sum(c["completed"] for c in counters),
-            "requests_failed": sum(c["failed"] for c in counters),
-            "requests_rejected": sum(c["rejected"] for c in counters),
-            "requests_expired": sum(c["expired"] for c in counters),
-            "requests_shed": sum(c["shed"] for c in counters),
-            "requests_retried": sum(c["retried"] for c in counters),
-            "requests_compiled": sum(c["served_compiled"] for c in counters),
-            "requests_fallback": sum(c["served_fallback"] for c in counters),
-            "samples_completed": sum(c["samples"] for c in counters),
-            "batches_served": sum(c["batches"] for c in counters),
-        }
         return {
-            "server": {
-                "running": self.running,
-                "max_batch_size": self.max_batch_size,
-                "max_delay_ms": self.max_delay_ms,
-                "max_queue_depth": self.max_queue_depth,
-                "models_hosted": self.registry.describe(),
-                **totals,
+            "server": self._summary(
+                {"requests_compiled": "served_compiled", "requests_fallback": "served_fallback"},
+                models_hosted=self.registry.describe(),
+            ),
+            "models": {
+                lane.name: lane.metrics.snapshot(queue_depth=lane.queue.depth)
+                for lane in self._all_lanes()
             },
-            "models": models,
         }
-
-    def metrics_json(self, model_name: Optional[str] = None, indent: int = 2) -> str:
-        return json.dumps(self.metrics(model_name), indent=indent)
 
     def __repr__(self) -> str:
-        state = "running" if self.running else ("stopped" if self._closed else "idle")
         return (
-            f"ModelServer(models={self.registry.names()}, state={state}, "
+            f"ModelServer(models={self.registry.names()}, state={self._state}, "
             f"max_batch_size={self.max_batch_size}, max_delay_ms={self.max_delay_ms})"
         )

@@ -301,14 +301,6 @@ class TestModelServerHealth:
         assert targets[0]["health"] is health
         assert targets[0]["health_labels"] == {"model": "m"}
 
-    def test_shadow_sample_every_env_default(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SHADOW_SAMPLE_EVERY", "7")
-        model, shape = random_quantized_model(seed=5)
-        server = ModelServer()
-        server.register("m", model)
-        health = server.enable_model_health()["m"]
-        assert health.shadow.sample_every == 7
-
     def test_shadow_disabled_with_zero(self, rng):
         model, shape = random_quantized_model(seed=5)
         server = ModelServer()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.obs import SPAN_STAGES
 from repro.serve import InferenceEngine, ModelServer
+from repro.serve.chaos import DispatchFaults
 from repro.serve.cluster import ClusterServer
 from repro.utils import save_quantized_checkpoint
 
@@ -89,6 +90,22 @@ class TestClusterSpans:
         rng = np.random.default_rng(0)
         with ClusterServer(max_batch_size=8, max_delay_ms=0.0) as cluster:
             cluster.register("m", parity_checkpoint, shards=2)
+            # Two requests back to back, each held briefly before the wire so
+            # both are in flight: least-outstanding routing puts one on each
+            # fresh shard, and server-wide request ids keep the spans apart.
+            cluster.fault_injector = DispatchFaults(delay_p=1.0, delay_s=0.05)
+            pair = [
+                cluster.submit(
+                    "m",
+                    rng.standard_normal(PARITY_SHAPE).astype(np.float32),
+                    trace_id=f"cl-pair-{index}",
+                )
+                for index in range(2)
+            ]
+            for pending in pair:
+                pending.result(timeout=60)
+            cluster.fault_injector = None
+            pair_spans = [cluster.spans.find(f"cl-pair-{index}") for index in range(2)]
             for _ in range(3):  # warm both shards past first-request costs
                 cluster.predict(
                     "m", rng.standard_normal(PARITY_SHAPE).astype(np.float32), timeout=60
@@ -113,6 +130,8 @@ class TestClusterSpans:
         assert abs(span["total_ms"] - span["e2e_ms"]) <= 0.10 * span["e2e_ms"]
         # Worker-side execute came back over the wire and is non-trivial.
         assert span["stages_ms"]["execute"] > 0.0
+        assert {s["shard"] for s in pair_spans} == {0, 1}
+        assert pair_spans[0]["request_id"] != pair_spans[1]["request_id"]
 
         assert len(targets) == 2
         assert {t["labels"]["shard"] for t in targets} == {"0", "1"}

@@ -597,6 +597,27 @@ class TestServerLifecycleAndAdmission:
             metrics = server.metrics("cnn")
             assert metrics["requests"]["completed"] == 1
 
+    def test_raising_batch_observer_does_not_kill_the_worker(self, cnn, rng):
+        """An ``on_batch`` hook that raises must not end the serving thread."""
+        calls = []
+
+        def hook(name, requests):
+            calls.append(name)
+            if len(calls) == 1:
+                raise RuntimeError("observer bug")
+
+        x = rng.standard_normal(CNN_SHAPE).astype(np.float32)
+        with ModelServer(max_batch_size=4, max_delay_ms=0.0, on_batch=hook) as server:
+            server.register("cnn", cnn)
+            first = server.predict("cnn", x, timeout=60)
+            second = server.submit("cnn", x).result(timeout=10)
+            assert server.drain(timeout=10)
+        np.testing.assert_array_equal(first, second)
+        assert calls == ["cnn", "cnn"]
+        (event,) = server.events.events(kind="batch_observer_failed")
+        assert event["model"] == "cnn"
+        assert "observer bug" in event["error"]
+
 
 # --------------------------------------------------------------------------- #
 # thread-safety of shared state
