@@ -2,24 +2,25 @@
 
 Replays the same Poisson request trace (single-sample requests, exponential
 inter-arrival times, offered load beyond saturation) through two serving
-paths on a **GIL-bound workload** (`cluster_workload.GilBoundNet`, pinned to
-the module path via ``REPRO_FORCE_FALLBACK=1`` so every request runs Python
-autograd glue that batching amortises but threads cannot parallelise) and
+paths on a small workload (`cluster_workload.GilBoundNet`) whose compiled
+plan is still Python-bound: at batch 1 the per-step dispatch and glue
+outweigh the GEMMs, and threads cannot parallelise that under the GIL.  It
 writes ``benchmarks/BENCH_cluster.json``:
 
 * **single-process baseline** — :class:`repro.serve.ModelServer`: the PR 3
-  frontend, one worker thread driving the fallback engine.  Batching works;
+  frontend, one worker thread driving the compiled engine.  Batching works;
   the GIL caps the whole host at roughly one core.
 * **cluster** — :class:`repro.serve.cluster.ClusterServer` with
   ``CLUSTER_SHARDS`` worker processes booted from a quantized checkpoint,
-  each running the identical fallback engine behind the binary wire
+  each running the identical compiled engine behind the binary wire
   protocol.
 
 Throughput is completed requests per second of makespan.  The CI floor
 (``CLUSTER_MIN_SPEEDUP``) asserts the cluster clears 2x the single process —
 **enforced only when enough CPU cores are available for the shards to
 actually run in parallel** (``floor_enforced`` in the report); on a 1-2 core
-box the numbers are reported but cannot gate.  Set
+box the numbers are reported but cannot gate.  Whether this workload's
+compiled plan clears the floor on 3 or more cores is unverified.  Set
 ``REPRO_BENCH_CLUSTER_SHORT=1`` (CI does) for a sub-minute run.
 
 **Chaos mode** (``REPRO_BENCH_CHAOS=1``, or ``REPRO_BENCH_CHAOS_SHORT=1``
@@ -66,20 +67,12 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 if HERE not in sys.path:
     sys.path.insert(0, HERE)
-
-# The whole point of this bench is the GIL-bound *module path*.  GilBoundNet's
-# multiplicative join used to be untraceable, which guaranteed that; now that
-# mul joins compile, the fallback must be forced explicitly.  Exported before
-# any engine is built so the spawned cluster workers inherit it too; main()
-# asserts engine_path.fallback > 0 so the premise cannot rot silently.
-os.environ["REPRO_FORCE_FALLBACK"] = "1"
 
 from cluster_workload import INPUT_SHAPE, build_workload_model  # noqa: E402
 
@@ -224,25 +217,10 @@ def replay_trace(submit, requests, arrivals):
     return time.perf_counter() - start, logits
 
 
-@contextmanager
-def _fallback_logs_suppressed():
-    """Forced fallback is this bench's premise (REPRO_FORCE_FALLBACK=1);
-    the engine's once-per-instance ``engine_fallback`` log line is expected
-    noise here, so silence just that logger for the scope."""
-    logger = get_logger("serve.engine")
-    previous = logger.level
-    logger.setLevel(logging.ERROR)
-    try:
-        yield
-    finally:
-        logger.setLevel(previous)
-
-
 def run_single_process(model, requests, arrivals):
-    """The PR 3 frontend: one worker thread, GIL-bound fallback engine."""
+    """The in-process ModelServer: one worker thread driving the compiled engine."""
     engine = InferenceEngine(model, batch_size=max(64, MAX_BATCH_SIZE))
-    with _fallback_logs_suppressed():
-        engine.predict_logits(requests[:1])  # fallback decision outside timing
+    engine.predict_logits(requests[:1])  # trace outside timing
     server = ModelServer(max_batch_size=MAX_BATCH_SIZE, max_delay_ms=MAX_DELAY_MS)
     server.register("bench", engine=engine)
     with server:
@@ -265,7 +243,6 @@ def run_cluster(checkpoint_path, requests, arrivals):
             checkpoint_path,
             shards=CLUSTER_SHARDS,
             max_shards=CLUSTER_SHARDS,
-            require_compiled=False,  # the workload is the fallback path itself
         )
         cluster.predict("bench", requests[0], timeout=120)  # first-request warmth
         exporter = _mount_exporter(cluster)
@@ -358,9 +335,7 @@ def run_chaos(model, checkpoint_path) -> int:
         else FrameFaults(drop_send_p=0.003, drop_recv_p=0.003, seed=CHAOS_SEED),
         kill_storm=storm,
     )
-    reference = InferenceEngine(model, batch_size=64)
-    with _fallback_logs_suppressed():
-        reference.warmup(require_compiled=False)
+    reference = InferenceEngine(model, batch_size=64).warmup()
     checker = BitwiseChecker(reference)
 
     print(
@@ -385,7 +360,6 @@ def run_chaos(model, checkpoint_path) -> int:
             checkpoint_path,
             shards=2,
             max_shards=2,
-            require_compiled=False,
             chaos_latency_s=0.01,  # widen the in-flight window the storm targets
         )
         cluster.predict("bench", np.zeros(INPUT_SHAPE, dtype=np.float32), timeout=120)
@@ -486,13 +460,6 @@ def run_chaos(model, checkpoint_path) -> int:
     )
     merged = snapshot["merged"]
     restarts = sum(view["restarts"] for view in snapshot["shards"].values())
-    if merged["engine_path"]["fallback"] == 0:
-        print(
-            "FAIL: chaos workload served 0 fallback requests — "
-            "REPRO_FORCE_FALLBACK is not pinning the engines to the module path",
-            file=sys.stderr,
-        )
-        return 1
 
     # Span completeness: every completed outcome must have a server-side span
     # carrying the full queue_wait/batch/wire/execute chain, and no span with
@@ -731,7 +698,7 @@ def main() -> int:
 
     report = {
         "workload": (
-            f"GilBoundNet (module path forced via REPRO_FORCE_FALLBACK=1), "
+            f"GilBoundNet (compiled plan), "
             f"{INPUT_SHAPE} inputs, Poisson trace of {NUM_REQUESTS} single-sample "
             f"requests (mean inter-arrival {MEAN_INTERARRIVAL_S * 1e3:.2f} ms)"
         ),
@@ -775,19 +742,9 @@ def main() -> int:
     print(
         f"cluster telemetry: occupancy {merged['batches']['occupancy_mean']:.1f} samples, "
         f"latency p50 {merged['latency_ms']['p50']:.1f} / "
-        f"p95 {merged['latency_ms']['p95']:.1f} ms, "
-        f"fallback-served {merged['engine_path']['fallback']}, agreement {agreement:.3f}"
+        f"p95 {merged['latency_ms']['p95']:.1f} ms, agreement {agreement:.3f}"
     )
     print(f"wrote {OUTPUT_PATH}")
-    fallback_served = merged["engine_path"]["fallback"]
-    if fallback_served == 0:
-        print(
-            "FAIL: the GIL-bound workload served 0 fallback requests — the "
-            "bench premise rotted (REPRO_FORCE_FALLBACK is not pinning the "
-            "engines to the module path)",
-            file=sys.stderr,
-        )
-        return 1
     if floor_enforced and speedup < CLUSTER_MIN_SPEEDUP:
         print(
             f"FAIL: cluster is only {speedup:.2f}x the single-process server "

@@ -5,18 +5,11 @@ processes can rebuild the model from the checkpoint's factory spec
 (``"cluster_workload:build_workload_model"``) — the benchmark directory is
 on ``sys.path`` in both the parent and the spawned children.
 
-The workload must run the **module path**: Python autograd glue under
-``no_grad``, exactly the path whose GIL-bound cost motivates process
-sharding.  The convolutions are small enough that Python overhead (im2col
-bookkeeping, autograd graph walk) dominates the BLAS time, i.e. extra
-*threads* cannot speed it up but extra *processes* can.
-
-Historically the model's multiplicative join was untraceable, which pinned
-it to the module path for free; now that elementwise multiplies compile,
-the bench exports ``REPRO_FORCE_FALLBACK=1`` before building any engine
-(parent *and* spawned workers inherit it) and asserts
-``engine_path.fallback > 0`` in the report, so the GIL-bound premise can
-never rot silently again.
+The workload serves from its compiled plan, like every model in the repo.
+The convolutions are small enough that the plan's Python step dispatch and
+glue outweigh the BLAS time at the bench's batch sizes, so extra *threads*
+cannot speed it up but extra *processes* can.  Whether the cluster clears
+its 2x floor over the single process on 3 or more cores is unverified.
 """
 
 from __future__ import annotations
@@ -33,11 +26,7 @@ NUM_CLASSES = 6
 
 
 class GilBoundNet(QuantizableModel):
-    """Two quantized conv branches joined multiplicatively.
-
-    The join compiles these days; ``REPRO_FORCE_FALLBACK=1`` (exported by
-    ``bench_cluster.py``) is what keeps this workload on the module path.
-    """
+    """Two quantized conv branches joined multiplicatively, then mixed."""
 
     def __init__(self, channels: int = 6, image_size: int = IMAGE_SIZE, seed: int = 0) -> None:
         super().__init__()

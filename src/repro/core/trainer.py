@@ -122,10 +122,10 @@ def evaluate_model(model, loader, engine=None) -> Tuple[float, float]:
     Evaluation rides the serving engine (:mod:`repro.serve`): the layer
     sequence is compiled once per call, eval-mode BatchNorm and PACT clipping
     are fused into the conv/linear kernels, and quantized weights come from
-    the version-keyed cache instead of being re-quantized per batch.  Models
-    the tracer cannot linearise fall back to the module forward path inside
-    the engine.  Pass a pre-built ``engine`` to reuse its compiled plan
-    across calls.
+    the version-keyed cache instead of being re-quantized per batch.  A model
+    the tracer cannot compile raises the engine's
+    :class:`~repro.serve.PlanTraceError`.  Pass a pre-built ``engine`` to
+    reuse its compiled plan across calls.
     """
     from ..serve import InferenceEngine
 

@@ -69,8 +69,6 @@ _COUNTER_HELP = {
     "cancelled": "Requests cancelled by the caller before serving.",
     "batches": "Micro-batches served.",
     "samples": "Samples (array rows) served across all batches.",
-    "served_compiled": "Requests served by a compiled inference plan.",
-    "served_fallback": "Requests served by the module-path fallback.",
     "expired": "Requests failed because their deadline passed.",
     "shed": "Requests shed for a higher-priority arrival under overload.",
     "retried": "Requests re-dispatched after a worker crash.",

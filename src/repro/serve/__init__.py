@@ -9,11 +9,11 @@ PACT clipping applied in-place on the GEMM accumulator, shortcut values
 spilled/joined by save/residual-add steps, quantized weights served from a
 version-keyed cache, and every intermediate routed through a preallocated
 :class:`PlanWorkspace` arena so primed steady-state runs allocate nothing);
-:class:`InferenceEngine` wraps it with lazy tracing,
-batched prediction, a :meth:`~InferenceEngine.plan_report` describing what
-compiled, and a module-path fallback for glue the tracer genuinely cannot
-compile.  ``mode="integer"`` serves the deployed integer-code domain
-through the same machinery.
+:class:`InferenceEngine` wraps it with lazy tracing, batched prediction and
+a :meth:`~InferenceEngine.plan_report` describing what compiled; a model
+whose glue the tracer cannot compile is refused with the
+:class:`PlanTraceError` that names the blocking op.  ``mode="integer"``
+serves the deployed integer-code domain through the same machinery.
 
 On top of the engine sits the serving *frontend*
 (:mod:`repro.serve.frontend`): :class:`ModelServer` hosts multiple named

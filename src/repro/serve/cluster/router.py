@@ -2,7 +2,7 @@
 
 :class:`ClusterServer` serves each registered *variant* (a quantized
 checkpoint + engine mode) from **N worker processes**.  A GIL-bound serving
-path (module-path fallback, Python glue in compiled plans) caps a single
+path (the Python step dispatch and glue of a compiled plan) caps a single
 process at roughly one core no matter how many threads it runs; processes
 shard it across cores.
 
@@ -94,10 +94,6 @@ class _Worker(Executor):
     @property
     def pid(self) -> Optional[int]:
         return self.handle.pid if self.handle is not None else None
-
-    @property
-    def uses_fallback(self) -> bool:
-        return self.handle.uses_fallback if self.handle is not None else False
 
     def spawn(self) -> WorkerHandle:
         cluster = self.cluster
@@ -424,7 +420,6 @@ class ClusterServer(ServingCore):
         shards: int = 1,
         min_shards: int = 1,
         max_shards: int = 8,
-        require_compiled: bool = True,
         backend: Optional[str] = None,
         description: str = "",
         chaos_latency_s: float = 0.0,
@@ -452,7 +447,6 @@ class ClusterServer(ServingCore):
             variant=name,
             mode=mode,
             batch_size=max(64, self.max_batch_size),
-            require_compiled=require_compiled,
             backend=backend if backend is not None else get_backend().name,
             chaos_latency_s=float(chaos_latency_s),
         )
@@ -759,9 +753,9 @@ class ClusterServer(ServingCore):
                     "restarts": shard.executor.restarts,
                     "outstanding": shard.pending,
                     "queue_depth": shard.queue.depth,
-                    "uses_fallback": (
-                        shard.executor.uses_fallback if shard.executor.handle else None
-                    ),
+                    # Always False (every worker serves a compiled plan);
+                    # kept because existing metrics readers index it.
+                    "uses_fallback": False,
                     "metrics": shard.metrics.snapshot(queue_depth=shard.queue.depth),
                 }
                 for shard in shards

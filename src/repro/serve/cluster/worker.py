@@ -11,16 +11,15 @@ statistics and the model-factory spec) plus a socket, and the worker
 2. rebuilds the model from the checkpoint's factory spec and restores every
    tensor of serving state,
 3. constructs its own :class:`~repro.serve.InferenceEngine` and runs
-   :meth:`~repro.serve.InferenceEngine.warmup` *strictly* — by default a
-   model that cannot compile to a plan fails the boot loudly rather than
-   silently serving module-path latency (fallback workloads opt in with
-   ``require_compiled=False``),
+   :meth:`~repro.serve.InferenceEngine.warmup` — a model that cannot
+   compile to a plan fails the boot with the trace error that names the
+   blocking op,
 4. announces itself with a HELLO frame (pid, plan state), then
 5. serves REQUEST frames until SHUTDOWN or the router hangs up.
 
-Because the engine lives wholly inside the process, a GIL-bound serving path
-(module-path fallback, Python glue) scales with the number of workers —
-which is the entire point of process-level sharding.
+Because the engine lives wholly inside the process, the Python-bound parts
+of a compiled plan (step dispatch, glue between the GEMMs) scale with the
+number of workers — which is the entire point of process-level sharding.
 
 Per-request failures travel back as typed ERROR frames; they never kill the
 worker.  Anything that breaks the *boot* is reported as an ERROR frame with
@@ -68,13 +67,10 @@ class WorkerOptions:
     variant: str = ""
     mode: str = "float"
     batch_size: int = 64
-    require_compiled: bool = True
     backend: Optional[str] = None
     #: Chaos knob: artificial per-request latency (seconds) added before the
     #: engine runs.  Picklable (unlike an injector object), so it crosses the
-    #: spawn boundary; 0.0 in production.  The ``REPRO_CHAOS_WORKER_LATENCY_S``
-    #: environment variable overrides it at worker boot, letting a chaos run
-    #: slow workers down without re-registering variants.
+    #: spawn boundary; 0.0 in production.
     chaos_latency_s: float = 0.0
 
 
@@ -93,7 +89,6 @@ def worker_main(worker_socket: socket.socket, options: WorkerOptions) -> None:
         "pid": os.getpid(),
         "variant": options.variant,
         "mode": engine.mode,
-        "uses_fallback": engine.uses_fallback,
         "plan_state": engine.plan_report()["state"],
         "backend": options.backend,
     }
@@ -107,44 +102,20 @@ def worker_main(worker_socket: socket.socket, options: WorkerOptions) -> None:
 
 
 def _boot_engine(options: WorkerOptions):
-    import logging
-
     from ...backend import set_backend
-    from ...obs.structlog import get_logger
     from ...utils.serialization import load_quantized_checkpoint
     from ..engine import InferenceEngine
 
     if options.backend:
         set_backend(options.backend)
     checkpoint = load_quantized_checkpoint(options.checkpoint_path, build=True)
-    engine = InferenceEngine(
+    return InferenceEngine(
         checkpoint.model, mode=options.mode, batch_size=options.batch_size
-    )
-    if options.require_compiled:
-        engine.warmup()
-    else:
-        # The operator opted into fallback serving; the engine's once-per-
-        # instance engine_fallback log line would repeat once per shard, and
-        # HELLO already reports uses_fallback/plan_state to the router.
-        logger = get_logger("serve.engine")
-        previous = logger.level
-        logger.setLevel(logging.ERROR)
-        try:
-            engine.warmup(require_compiled=False)
-        finally:
-            logger.setLevel(previous)
-    return engine
+    ).warmup()
 
 
 def _serve_forever(channel: FrameChannel, engine, options: WorkerOptions) -> None:
     served = 0
-    chaos_latency_s = options.chaos_latency_s
-    env_latency = os.environ.get("REPRO_CHAOS_WORKER_LATENCY_S")
-    if env_latency:
-        try:
-            chaos_latency_s = max(0.0, float(env_latency))
-        except ValueError:
-            pass  # a malformed chaos knob must never take a worker down
     # The router is our parent; a changed ppid means we were reparented
     # (router died without an orderly SHUTDOWN).  Comparing against the boot
     # value — not against literal PID 1 — keeps this correct when the router
@@ -164,8 +135,8 @@ def _serve_forever(channel: FrameChannel, engine, options: WorkerOptions) -> Non
                         f"this worker serves variant {options.variant!r}, "
                         f"not {name!r}"
                     )
-                if chaos_latency_s > 0:
-                    time.sleep(chaos_latency_s)
+                if options.chaos_latency_s > 0:
+                    time.sleep(options.chaos_latency_s)
                 execute_start = time.perf_counter()
                 logits = engine.predict_logits(array)
                 execute_s = time.perf_counter() - execute_start
@@ -228,10 +199,6 @@ class WorkerHandle:
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid
-
-    @property
-    def uses_fallback(self) -> bool:
-        return bool(self.hello.get("uses_fallback", False))
 
     def is_alive(self) -> bool:
         return self.process.is_alive()

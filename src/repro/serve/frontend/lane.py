@@ -81,8 +81,6 @@ class Executor:
     :meth:`lost`.  The hooks default to an executor that can never be lost.
     """
 
-    uses_fallback = False
-
     def __call__(
         self, batch: np.ndarray, trace_ids: Optional[List[str]]
     ) -> Tuple[np.ndarray, Optional[float]]:
@@ -281,12 +279,6 @@ class Lane:
             for request in traced:
                 request.trace.advance("execute", done)
             self.metrics.record_batch(int(stacked.shape[0]), done - formed)
-            # Attribute the served requests to the engine path that ran them
-            # (read after the call: the first predict is what traces the
-            # plan or falls back).
-            self.metrics.record_served_path(
-                len(requests), fallback=self.executor.uses_fallback
-            )
             offset = 0
             for request in requests:
                 rows = logits[offset : offset + request.num_samples]

@@ -59,8 +59,6 @@ class ServerMetrics:
         "cancelled",
         "batches",
         "samples",
-        "served_compiled",
-        "served_fallback",
         # Resilience counters (chaos harness / graceful degradation):
         # requests failed because their deadline passed, requests shed for a
         # higher-priority arrival, requests re-dispatched after a worker
@@ -86,13 +84,6 @@ class ServerMetrics:
         self._batches = 0
         self._samples = 0
         self._depth_highwater = 0
-        # Which engine path served each request: compiled plan vs the
-        # module-path fallback.  A hosted model that should be serving from
-        # a compiled plan but shows fallback counts here is paying the
-        # module path's latency — the operator-facing readout of the
-        # engine's plan_report.
-        self._served_compiled = 0
-        self._served_fallback = 0
         self._expired = 0
         self._shed = 0
         self._retried = 0
@@ -143,14 +134,6 @@ class ServerMetrics:
             self._batch_occupancy[num_samples] = self._batch_occupancy.get(num_samples, 0) + 1
             self._service.add(service_seconds)
 
-    def record_served_path(self, num_requests: int, fallback: bool) -> None:
-        """Attribute ``num_requests`` served requests to an engine path."""
-        with self._lock:
-            if fallback:
-                self._served_fallback += num_requests
-            else:
-                self._served_compiled += num_requests
-
     def record_expired(self) -> None:
         """One request failed with :class:`DeadlineExceeded` (queued or mid-flight)."""
         with self._lock:
@@ -182,8 +165,6 @@ class ServerMetrics:
     batches = _locked_read("batches")
     samples = _locked_read("samples")
     depth_highwater = _locked_read("depth_highwater")
-    served_compiled = _locked_read("served_compiled")
-    served_fallback = _locked_read("served_fallback")
     expired = _locked_read("expired")
     shed = _locked_read("shed")
     retried = _locked_read("retried")
@@ -337,10 +318,6 @@ class ServerMetrics:
                     "retried": self._retried,
                 },
                 "breaker_open_total": self._breaker_open,
-                "engine_path": {
-                    "compiled": self._served_compiled,
-                    "fallback": self._served_fallback,
-                },
                 "samples_completed": self._samples,
                 "batches": {
                     "served": self._batches,

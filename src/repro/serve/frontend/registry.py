@@ -118,7 +118,6 @@ class ModelRegistry:
                 name: {
                     "mode": entry.mode,
                     "engine_batch_size": entry.engine.batch_size,
-                    "uses_fallback": entry.engine.uses_fallback,
                     "description": entry.description,
                 }
                 for name, entry in self._entries.items()

@@ -18,8 +18,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...nn.tensor import no_grad
-from ...obs.health import DriftDetector, ModelHealth, QuantHealthTap, ShadowExecutor
+from ...nn.tensor import Tensor, no_grad
+from ...obs.health import (
+    DriftDetector,
+    ModelHealth,
+    QuantHealthTap,
+    ShadowExecutor,
+    primary_logits,
+)
 from .lane import Executor, Lane, ServingCore
 from .queuing import ServerClosed
 from .registry import ModelEntry, ModelRegistry
@@ -33,15 +39,12 @@ class LocalExecutor(Executor):
     def __init__(self, engine, model_lock: threading.Lock) -> None:
         self.engine = engine
         # Shared between lanes hosting the same model object (float + integer
-        # variants of one checkpoint): engine.predict_logits toggles the
-        # model's train/eval mode, so two engines over one model must never
-        # serve concurrently.  Lanes over distinct models get distinct locks
-        # and never contend.
+        # variants of one checkpoint): a trace and the health shadow's float
+        # forward toggle the model's train/eval mode, and a plan refresh
+        # writes the layers' quantized-weight caches, so two engines over one
+        # model must never serve concurrently.  Lanes over distinct models
+        # get distinct locks and never contend.
         self.model_lock = model_lock
-
-    @property
-    def uses_fallback(self) -> bool:
-        return self.engine.uses_fallback
 
     def __call__(self, batch: np.ndarray, trace_ids) -> Tuple[np.ndarray, None]:
         with self.model_lock:
@@ -163,8 +166,8 @@ class ModelServer(ServingCore):
         :class:`~repro.obs.health.QuantHealthTap` installed on the lane's
         engine (sampling ~1/``tap_sample_every`` plan runs), a
         :class:`~repro.obs.health.ShadowExecutor` re-running
-        ~1/``shadow_sample_every`` served batches through the float module
-        path of the same model (under the lane's model lock, so it never
+        ~1/``shadow_sample_every`` served batches through the float forward
+        of the same model (under the lane's model lock, so it never
         races the engine), and a :class:`~repro.obs.health.DriftDetector`
         over served prediction entropy/class histograms.  Served logits stay
         bitwise-identical — everything here observes after the fact.
@@ -201,22 +204,26 @@ class ModelServer(ServingCore):
 
     @staticmethod
     def _shadow_reference(executor: LocalExecutor) -> Callable[[np.ndarray], np.ndarray]:
-        """A float module-path forward over the lane's model, made safe.
+        """The lane model's own eval-mode float forward, made safe.
 
         Takes the lane's model lock (the engine worker holds it while
         serving, so the shadow forward can never interleave with a served
-        batch's train/eval flip) and restores the training flag afterwards.
+        batch) and restores the training flag afterwards.  A multi-output
+        model is compared on its primary slot.
         """
 
         def reference(batch: np.ndarray) -> np.ndarray:
-            engine = executor.engine
+            model = executor.engine.model
             with executor.model_lock, no_grad():
-                was_training = engine.model.training
-                engine.model.eval()
+                was_training = model.training
+                model.eval()
                 try:
-                    return engine._module_forward(batch)
+                    out = model(Tensor(batch))
                 finally:
-                    engine.model.train(was_training)
+                    model.train(was_training)
+            if isinstance(out, (tuple, list)):
+                out = out[0]
+            return primary_logits(out).data
 
         return reference
 
@@ -226,10 +233,7 @@ class ModelServer(ServingCore):
             lane = self._route(model_name)
             return lane.metrics.snapshot(queue_depth=lane.queue.depth)
         return {
-            "server": self._summary(
-                {"requests_compiled": "served_compiled", "requests_fallback": "served_fallback"},
-                models_hosted=self.registry.describe(),
-            ),
+            "server": self._summary({}, models_hosted=self.registry.describe()),
             "models": {
                 lane.name: lane.metrics.snapshot(queue_depth=lane.queue.depth)
                 for lane in self._all_lanes()

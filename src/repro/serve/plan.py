@@ -36,9 +36,9 @@ by :class:`_SaveStep`/:class:`_LoadStep` register spills and joined by
 multi-output plans end in an :class:`_OutputsStep` that surfaces named
 result slots through :meth:`InferencePlan.run`.  Glue the compiler does not
 understand — broadcasting multiplies, division joins, re-entrant values
-produced outside the traced ops — raises :class:`PlanTraceError`, which
-:class:`~repro.serve.engine.InferenceEngine` turns into a graceful fallback
-to the module path.
+produced outside the traced ops — raises :class:`PlanTraceError`, naming
+the op when the tracer saw it, and
+:class:`~repro.serve.engine.InferenceEngine` refuses the model with it.
 
 Two compilation flavours share the same graph:
 
@@ -126,9 +126,8 @@ class PlanVerifyError(PlanTraceError):
     """The compiled plan disagrees with the model on every probe.
 
     Unlike a plain :class:`PlanTraceError` (expected for genuinely
-    unsupported glue), this indicates a mis-compile: the engine still falls
-    back to the module path, but warns, so broken plans never degrade
-    silently.
+    unsupported glue), this indicates a mis-compile; the engine refuses the
+    model with it, so a broken plan never serves.
     """
 
 
@@ -171,10 +170,23 @@ class _CatEvent:
     output_tensor: Tensor
 
 
-# Tracing patches class-level dunders, so concurrent traces — or a serving
-# thread's module-path forwards racing a trace on another worker — would
-# bleed events across models.  The lock serialises traces; the owner-thread
-# check below keeps foreign threads' forwards out of the event stream.
+@dataclass
+class _UnsupportedEvent:
+    # Glue-level arithmetic no step implements (a division, a subtraction,
+    # a power): recorded only so a trace error can name it.
+    op: str
+    output_tensor: Tensor
+
+
+# Tensor methods the tracer watches only to name them in a trace error.
+_UNSUPPORTED_GLUE = {"__sub__": "subtraction", "__truediv__": "division", "__pow__": "power"}
+
+
+# Tracing patches class-level dunders, so concurrent traces — or a module
+# forward on another thread (a training step, a health shadow) racing a
+# trace — would bleed events across models.  The lock serialises traces; the
+# owner-thread check below keeps foreign threads' forwards out of the event
+# stream.
 _TRACE_LOCK = threading.Lock()
 
 
@@ -199,6 +211,7 @@ def _trace_graph(model, probe: Tensor) -> Tuple[List[object], object]:
         original_mul = Tensor.__mul__
         original_rmul = Tensor.__rmul__
         original_cat = Tensor.__dict__["cat"].__func__
+        originals = {name: getattr(Tensor, name) for name in _UNSUPPORTED_GLUE}
 
         def mine() -> bool:
             return leaf_depth == 0 and threading.get_ident() == owner
@@ -242,7 +255,18 @@ def _trace_graph(model, probe: Tensor) -> Tuple[List[object], object]:
                 events.append(_CatEvent(tensors, int(axis), out))
             return out
 
+        def watching(name):
+            def tracing_unsupported(self, other):
+                out = originals[name](self, other)
+                if mine() and isinstance(out, Tensor):
+                    events.append(_UnsupportedEvent(_UNSUPPORTED_GLUE[name], out))
+                return out
+
+            return tracing_unsupported
+
         Module.__call__ = tracing_call
+        for name in _UNSUPPORTED_GLUE:
+            setattr(Tensor, name, watching(name))
         Tensor.__add__ = tracing_add
         Tensor.__radd__ = tracing_add
         Tensor.__mul__ = tracing_mul
@@ -257,6 +281,8 @@ def _trace_graph(model, probe: Tensor) -> Tuple[List[object], object]:
             Tensor.__mul__ = original_mul
             Tensor.__rmul__ = original_rmul
             Tensor.cat = staticmethod(original_cat)
+            for name, original in originals.items():
+                setattr(Tensor, name, original)
     return events, output
 
 
@@ -340,11 +366,31 @@ def _build_ops(
     probe_id = table.register(probe)
     ops: List[_Op] = []
     last_value = probe_id
+    # Outputs of recorded unsupported glue -> the op's name (the events list
+    # keeps the tensors alive, so ids stay unique).
+    blocked = {
+        id(event.output_tensor): event.op
+        for event in events
+        if isinstance(event, _UnsupportedEvent)
+    }
+    supported = (
+        "only linear chains, residual additions, elementwise multiplies and "
+        "channel concatenations can be compiled"
+    )
+
+    def refuse_untraced(tensors: Sequence[Tensor], where: str) -> None:
+        for tensor in tensors:
+            if id(tensor) in blocked:
+                raise PlanTraceError(
+                    f"{where} consumes the output of a {blocked[id(tensor)]}, "
+                    f"which cannot be compiled; {supported}"
+                )
 
     def resolve_input(tensor: Tensor, shape: Tuple[int, ...], where: str) -> int:
         vid = table.lookup(tensor)
         if vid is not None:
             return vid
+        refuse_untraced([tensor], where)
         # Unknown tensor: the only inferable glue is a flatten of the most
         # recently produced value.
         last_shape = table.shapes[last_value]
@@ -358,9 +404,7 @@ def _build_ops(
             ops.append(_Op("flatten", None, [last_value], out_id))
             return out_id
         raise PlanTraceError(
-            f"non-sequential glue before {where} ({last_shape} -> {shape}); "
-            "only linear chains, residual additions, elementwise multiplies "
-            "and channel concatenations can be compiled"
+            f"non-sequential glue before {where} ({last_shape} -> {shape}); {supported}"
         )
 
     for event in events:
@@ -373,11 +417,14 @@ def _build_ops(
             out_id = table.register(event.output_tensor)
             ops.append(_Op("leaf", event.module, [in_id], out_id))
             last_value = out_id
+        elif isinstance(event, _UnsupportedEvent):
+            continue  # fails only if a traced op or the output consumes it
         elif isinstance(event, (_AddEvent, _MulEvent)):
             join = "addition" if isinstance(event, _AddEvent) else "multiplication"
             lhs_id = table.lookup(event.lhs)
             rhs_id = table.lookup(event.rhs)
             if lhs_id is None or rhs_id is None:
+                refuse_untraced([event.lhs, event.rhs], f"elementwise {join}")
                 raise PlanTraceError(
                     f"elementwise {join} combines a value the tracer did not "
                     "record; only joins of traced leaf outputs (or the model "
@@ -399,6 +446,7 @@ def _build_ops(
         else:  # _CatEvent
             in_ids = [table.lookup(t) for t in event.inputs]
             if any(vid is None for vid in in_ids):
+                refuse_untraced(event.inputs, "concatenation")
                 raise PlanTraceError(
                     "concatenation combines a value the tracer did not "
                     "record; only traced leaf outputs (or the model input) "
@@ -426,6 +474,7 @@ def _build_ops(
     for name, tensor in _normalize_outputs(output):
         vid = table.lookup(tensor)
         if vid is None:
+            refuse_untraced([tensor], "the model output")
             raise PlanTraceError("the traced graph does not end at the model output")
         outputs.append((name, vid))
     if len(outputs) == 1 and outputs[0][0] is None and outputs[0][1] != last_value:

@@ -10,8 +10,6 @@ factories only need to reproduce the architecture.
 
 from __future__ import annotations
 
-import time
-
 from repro.models import simple_cnn
 
 from .parity import UntraceableNet, random_quantized_model
@@ -31,22 +29,6 @@ def build_simple(seed: int = 0, num_classes: int = 4, input_size: int = 12, chan
     )
 
 
-class SlowFallbackNet(UntraceableNet):
-    """An uncompilable model whose forward takes a controllable wall time.
-
-    Serves two test purposes: it exercises the module-path (GIL-bound)
-    fallback inside workers, and its slow forward opens a reliable window
-    in which a test can kill the worker with requests in flight.
-    """
-
-    def __init__(self, delay_s: float = 0.05, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.delay_s = float(delay_s)
-
-    def forward(self, x):
-        time.sleep(self.delay_s)
-        return super().forward(x)
-
-
-def build_slow_fallback(delay_s: float = 0.05, channels: int = 4, image_size: int = 8):
-    return SlowFallbackNet(delay_s=delay_s, channels=channels, image_size=image_size)
+def build_untraceable(channels: int = 4, image_size: int = 8):
+    """A model the plan compiler refuses (a division join)."""
+    return UntraceableNet(channels=channels, image_size=image_size)

@@ -12,8 +12,7 @@ serving read path:
   re-joined by ``Tensor.cat``), random per-layer bit assignments, optional
   bias convs, dropout glue, both flatten-vs-global-pool heads and an
   occasional second named output head.  Every shape the generator can emit
-  **compiles** — there is no fallback seed; the module path exists only as
-  the parity oracle and behind the ``REPRO_FORCE_FALLBACK`` escape hatch.
+  **compiles**; the module path exists only as the parity oracle.
 * :func:`assert_serving_parity` — the parity contract for one model:
 
   - the **reference plan** (``optimize=False``) must be **bitwise
@@ -25,18 +24,17 @@ serving read path:
   - the **fused plan** (the serving default) must agree to tolerance, with
     the documented allowance for rare one-step PACT staircase flips caused
     by float re-association in the fused kernels;
-  - the **engine** must compile (no fallback) and serve the fused plan's
-    exact numbers.
+  - the **engine** must compile and serve the fused plan's exact numbers.
 
   Multi-output models are checked slot by slot: the plan's named result
   dict must carry exactly the module's keys and every slot obeys the same
   bitwise/tolerance contract.
 
-* :class:`UntraceableNet` / :class:`MendableNet` — models for the fallback
+* :class:`UntraceableNet` / :class:`MendableNet` — models for the refusal
   boundary: glue the compiler genuinely cannot serve (a *division* join —
-  additions, elementwise multiplies and channel concats all compile now),
-  and repairable variants for testing the fallback->compiled upgrade path
-  into each supported join kind.
+  additions, elementwise multiplies and channel concats all compile), and
+  repairable variants that compile, once mended, into each supported join
+  kind.
 """
 
 from __future__ import annotations
@@ -313,7 +311,7 @@ def assert_serving_parity(
 
     Per backend: the reference plans are bitwise-identical to the module
     path (float) and the integer session (integer); the fused plans agree to
-    tolerance; the engine compiles (no fallback) and serves the fused plan's
+    tolerance; the engine compiles and serves the fused plan's
     exact numbers.  Multi-output models are compared slot by slot.
     """
     rng = np.random.default_rng(seed)
@@ -333,12 +331,7 @@ def assert_serving_parity(
             fused_logits = fused.run(x)
             _assert_fused_close(fused_logits, want, f"fused float plan [{backend}]")
 
-            engine = InferenceEngine(model)
-            engine_logits = engine.predict_logits(x)
-            assert not engine.uses_fallback, (
-                f"engine fell back on backend {backend!r}: "
-                f"{engine.plan_report()['fallback_reason']}"
-            )
+            engine_logits = InferenceEngine(model).predict_logits(x)
             _assert_equal(engine_logits, fused_logits, f"engine [{backend}]")
 
             if check_integer:
@@ -357,16 +350,16 @@ def assert_serving_parity(
 
 
 # --------------------------------------------------------------------------- #
-# the fallback boundary
+# the refusal boundary
 # --------------------------------------------------------------------------- #
 class UntraceableNet(QuantizableModel):
     """Two conv branches joined by a *division* — genuinely uncompilable.
 
     The tracer records additions, elementwise multiplies and channel concats;
     a quotient's output tensor is unknown to the value table, so the
-    following leaf raises :class:`~repro.serve.PlanTraceError` and the
-    engine must fall back.  (This model used a multiplicative join before
-    ``*`` learned to compile.)
+    following leaf raises :class:`~repro.serve.PlanTraceError`, naming the
+    division, and the engine refuses the model.  (This model used a
+    multiplicative join before ``*`` learned to compile.)
     """
 
     def __init__(self, channels: int = 4, image_size: int = 8, num_classes: int = 3) -> None:
@@ -390,12 +383,11 @@ class UntraceableNet(QuantizableModel):
 class MendableNet(UntraceableNet):
     """Starts with the division join; flip ``mended`` to use a supported one.
 
-    Models the operational story behind the engine's upgrade path: a model
-    whose glue was rewritten into compilable form after it first fell back —
-    ``predict(refresh=True)`` must then compile and clear the fallback.
-    ``mend_to`` picks which supported join the repair lands on (``"add"``,
-    ``"mul"`` or ``"cat"``), so the upgrade path is exercised into every
-    join kind the compiler serves.
+    Models a model whose glue was rewritten into compilable form after the
+    engine first refused it: the engine caches no refusal, so the next
+    predict must compile.  ``mend_to`` picks which supported join the repair
+    lands on (``"add"``, ``"mul"`` or ``"cat"``), so every join kind the
+    compiler serves is exercised.
     """
 
     def __init__(self, mend_to: str = "add", **kwargs) -> None:

@@ -53,7 +53,7 @@ from repro.serve.cluster.protocol import ERROR_CODES, encode_error, exception_fr
 from repro.serve.cluster.transport import RETRYABLE_ERRORS
 from repro.utils import save_quantized_checkpoint
 
-from .cluster_models import build_parity_model, build_slow_fallback
+from .cluster_models import build_parity_model
 
 PARITY_SEED = 5
 PARITY_SHAPE = (3, 8, 8)
@@ -77,18 +77,6 @@ def parity_checkpoint(tmp_path_factory):
         model,
         model_factory="tests.serve.cluster_models:build_parity_model",
         factory_kwargs={"seed": PARITY_SEED},
-    )
-
-
-@pytest.fixture(scope="module")
-def slow_checkpoint(tmp_path_factory):
-    model = build_slow_fallback(delay_s=0.25)
-    path = str(tmp_path_factory.mktemp("chaos-slow") / "slow.npz")
-    return save_quantized_checkpoint(
-        path,
-        model,
-        model_factory="tests.serve.cluster_models:build_slow_fallback",
-        factory_kwargs={"delay_s": 0.25},
     )
 
 
@@ -348,7 +336,7 @@ class TestRetryPolicy:
 # live cluster: survivability under storms, deadlines over the wire, TCP edge
 # --------------------------------------------------------------------------- #
 class TestClusterChaos:
-    def test_kill_storm_with_retries_loses_nothing(self, slow_checkpoint):
+    def test_kill_storm_with_retries_loses_nothing(self, parity_checkpoint):
         rng = np.random.default_rng(21)
         sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
         with ClusterServer(
@@ -359,7 +347,7 @@ class TestClusterChaos:
             max_request_retries=4,
         ) as cluster:
             cluster.register(
-                "slow", slow_checkpoint, shards=2, max_shards=2, require_compiled=False
+                "slow", parity_checkpoint, shards=2, max_shards=2, chaos_latency_s=0.25
             )
             futures = [
                 cluster.submit("slow", sample, block=True) for _ in range(8)
@@ -381,14 +369,12 @@ class TestClusterChaos:
             retried = cluster.metrics("slow")["merged"]["requests"]["retried"]
             assert retried >= 1
 
-    def test_mid_flight_deadline_expires_typed(self, slow_checkpoint):
+    def test_mid_flight_deadline_expires_typed(self, parity_checkpoint):
         rng = np.random.default_rng(22)
         sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
         with ClusterServer(max_batch_size=1, max_delay_ms=0.0) as cluster:
-            cluster.register(
-                "slow", slow_checkpoint, shards=1, require_compiled=False
-            )
-            # The model's forward takes 0.25 s; a 50 ms deadline expires
+            cluster.register("slow", parity_checkpoint, shards=1, chaos_latency_s=0.25)
+            # Each request waits 0.25 s in the worker; a 50 ms deadline expires
             # mid-flight for the first request and in-queue for the second.
             futures = [
                 cluster.submit("slow", sample, block=True, deadline_s=0.05)

@@ -32,7 +32,7 @@ from repro.serve.cluster import (
 )
 from repro.utils import save_quantized_checkpoint
 
-from .cluster_models import build_parity_model, build_slow_fallback
+from .cluster_models import build_parity_model, build_untraceable
 
 PARITY_SEED = 5
 PARITY_SHAPE = (3, 8, 8)
@@ -64,26 +64,12 @@ def parity_checkpoint(parity_model, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def slow_checkpoint(tmp_path_factory):
-    model = build_slow_fallback(delay_s=0.25)
-    path = str(tmp_path_factory.mktemp("cluster-slow") / "slow.npz")
+def untraceable_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cluster-untraceable") / "untraceable.npz")
     return save_quantized_checkpoint(
         path,
-        model,
-        model_factory="tests.serve.cluster_models:build_slow_fallback",
-        factory_kwargs={"delay_s": 0.25},
-    )
-
-
-@pytest.fixture(scope="module")
-def fast_fallback_checkpoint(tmp_path_factory):
-    model = build_slow_fallback(delay_s=0.0)
-    path = str(tmp_path_factory.mktemp("cluster-fb") / "fallback.npz")
-    return save_quantized_checkpoint(
-        path,
-        model,
-        model_factory="tests.serve.cluster_models:build_slow_fallback",
-        factory_kwargs={"delay_s": 0.0},
+        build_untraceable(),
+        model_factory="tests.serve.cluster_models:build_untraceable",
     )
 
 
@@ -97,7 +83,6 @@ class TestWorkerHandle:
         )
         try:
             assert handle.hello["plan_state"] == "compiled"
-            assert handle.hello["uses_fallback"] is False
             assert handle.is_alive()
             assert handle.ping(timeout=10.0)
         finally:
@@ -110,14 +95,10 @@ class TestWorkerHandle:
                 WorkerOptions(checkpoint_path=str(tmp_path / "missing.npz"), variant="m")
             )
 
-    def test_strict_warmup_refuses_fallback_models(self, fast_fallback_checkpoint):
-        with pytest.raises(WorkerBootError, match="compile"):
+    def test_boot_refuses_untraceable_models(self, untraceable_checkpoint):
+        with pytest.raises(WorkerBootError, match="PlanTraceError.*division"):
             spawn_worker(
-                WorkerOptions(
-                    checkpoint_path=fast_fallback_checkpoint,
-                    variant="m",
-                    require_compiled=True,
-                )
+                WorkerOptions(checkpoint_path=untraceable_checkpoint, variant="m")
             )
 
 
@@ -209,7 +190,7 @@ class TestClusterParity:
 # resilience: crashes stay contained, restarts are automatic
 # --------------------------------------------------------------------------- #
 class TestClusterResilience:
-    def test_killed_worker_fails_only_in_flight_and_recovers(self, slow_checkpoint):
+    def test_killed_worker_fails_only_in_flight_and_recovers(self, parity_checkpoint):
         rng = np.random.default_rng(4)
         sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
         with ClusterServer(
@@ -219,15 +200,15 @@ class TestClusterResilience:
             max_restarts=5,
         ) as cluster:
             cluster.register(
-                "slow", slow_checkpoint, shards=2, max_shards=2, require_compiled=False
+                "slow", parity_checkpoint, shards=2, max_shards=2, chaos_latency_s=0.25
             )
             pid_by_shard = {
                 name: info["pid"]
                 for name, info in cluster.metrics("slow")["shards"].items()
             }
             # Four requests spread over two shards (least-outstanding), each
-            # served alone (max_batch_size=1) with a 0.25 s forward: plenty
-            # of in-flight window.
+            # served alone (max_batch_size=1) after 0.25 s of injected worker
+            # latency: plenty of in-flight window.
             futures = [cluster.submit("slow", sample) for _ in range(4)]
             # Kill only once shard 0 demonstrably has a request *in flight*
             # (popped off its queue, on the worker's wire) — a fixed sleep
@@ -352,14 +333,14 @@ class TestAutoscalerPolicy:
 
 
 class TestAutoscalerLoop:
-    def test_backlog_grows_the_fleet_then_idle_shrinks_it(self, slow_checkpoint):
+    def test_backlog_grows_the_fleet_then_idle_shrinks_it(self, parity_checkpoint):
         rng = np.random.default_rng(7)
         sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
         with ClusterServer(
             max_batch_size=1, max_delay_ms=0.0, request_timeout_s=30.0
         ) as cluster:
             cluster.register(
-                "slow", slow_checkpoint, shards=1, max_shards=2, require_compiled=False
+                "slow", parity_checkpoint, shards=1, max_shards=2, chaos_latency_s=0.25
             )
             policy = AutoscalerPolicy(
                 scale_up_backlog_per_shard=2.0,
@@ -443,7 +424,6 @@ class TestClusterMetrics:
             assert sum(per_shard) == 20
             assert view["merged"]["requests"]["completed"] == 20
             assert view["merged"]["samples_completed"] == 20
-            assert view["merged"]["engine_path"]["compiled"] == 20
             top = cluster.metrics()
             assert top["cluster"]["requests_completed"] == 20
             assert top["cluster"]["variants_hosted"]["m"]["shards"] == 2

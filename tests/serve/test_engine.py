@@ -1,9 +1,6 @@
-"""Inference engine: plan compilation, parity, batching, fallback boundary."""
+"""Inference engine: plan compilation, parity, batching, refusal boundary."""
 
 from __future__ import annotations
-
-import logging
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,39 +9,10 @@ from repro.backend import use_backend
 from repro.models import resnet18, simple_cnn, vgg11
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
-from repro.obs.structlog import get_logger
 from repro.quant import IntegerInferenceSession
 from repro.serve import InferenceEngine, InferencePlan, PlanTraceError
 
 from .parity import MendableNet, UntraceableNet
-
-
-@contextmanager
-def capture_fallback_logs():
-    """Collect the engine's structured log records for the block.
-
-    The engine announces fallbacks through the ``repro`` JSON logger (which
-    does not propagate to the root logger, so ``caplog`` cannot see it);
-    attaching a handler to the ``serve.engine`` child captures the raw
-    ``LogRecord`` objects with their structured fields as attributes.
-    """
-    records: list = []
-
-    class _Collector(logging.Handler):
-        def emit(self, record: logging.LogRecord) -> None:
-            records.append(record)
-
-    handler = _Collector(level=logging.DEBUG)
-    logger = get_logger("serve.engine")
-    logger.addHandler(handler)
-    try:
-        yield records
-    finally:
-        logger.removeHandler(handler)
-
-
-def _fallback_events(records):
-    return [r for r in records if r.getMessage() == "engine_fallback"]
 
 
 def _warmed_model(builder, shape, rng, **kwargs):
@@ -95,7 +63,7 @@ class TestFloatParity:
             want = vgg(Tensor(x)).data
         engine = InferenceEngine(vgg)
         got = engine.predict_logits(x)
-        assert not engine.uses_fallback
+        assert engine.plan_report()["state"] == "compiled"
         _assert_mostly_close(got, want)
 
     def test_fused_plan_equals_unfused_eval_predictions(self, vgg, rng):
@@ -197,22 +165,14 @@ class TestWarmup:
         with pytest.raises(ValueError, match="input-shape hint"):
             InferenceEngine(model).warmup()
 
-    def test_warmup_raises_on_fallback_by_default(self, rng):
-        # An eager warmup is a request for compiled-plan serving: silent
-        # module-path degradation must fail at deploy time, not per request.
+    def test_warmup_refuses_untraceable_model(self, rng):
+        # An eager warmup moves the refusal to deploy time: the trace error
+        # names the division that blocked the compile.
         model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        with capture_fallback_logs() as records:
-            with pytest.raises(PlanTraceError, match="require_compiled=False"):
-                InferenceEngine(model).warmup()
-        assert len(_fallback_events(records)) == 1
-
-    def test_warmup_accepts_fallback_when_asked(self, rng):
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        with capture_fallback_logs() as records:
-            engine = InferenceEngine(model).warmup(require_compiled=False)
-        assert len(_fallback_events(records)) == 1
-        assert engine.uses_fallback
-        assert engine.plan_report()["state"] == "fallback"
+        engine = InferenceEngine(model)
+        with pytest.raises(PlanTraceError, match="division"):
+            engine.warmup()
+        assert engine.plan_report()["state"] == "untraced"
 
 
 class TestStalenessCheck:
@@ -274,53 +234,8 @@ class TestStalenessCheck:
         after = engine.predict_logits(x)
         assert np.abs(after - before).max() > 1e-4
 
-    def test_integer_fallback_session_reused_until_stale(self, rng, monkeypatch):
-        from repro.quant import integer_inference
-
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        constructed = []
-        original = integer_inference.IntegerInferenceSession
-
-        class CountingSession(original):
-            def __init__(self, *args, **kwargs):
-                constructed.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(integer_inference, "IntegerInferenceSession", CountingSession)
-        engine = InferenceEngine(model, mode="integer")
-        engine.predict_logits(x)
-        engine.predict_logits(x)
-        assert len(constructed) == 1  # frozen weights: one export, many calls
-
-        layer = next(iter(model.quantizable_layers().values()))
-        layer.weight.data = layer.weight.data + 0.1
-        layer.weight.bump_version()
-        engine.predict_logits(x)
-        assert len(constructed) == 2
-
-
-class TestFallbackWarning:
-    def test_fallback_logs_once_per_engine_not_per_predict(self, rng):
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        engine = InferenceEngine(model)
-        with capture_fallback_logs() as records:
-            for _ in range(4):
-                engine.predict_logits(x)
-        events = _fallback_events(records)
-        assert len(events) == 1
-        assert engine.uses_fallback
-        # The record carries structured context, not a prose-only blob.
-        assert events[0].levelno == logging.WARNING
-        assert events[0].model == "UntraceableNet"
-        assert events[0].mode == "float"
-        assert events[0].kind == "untraceable"
-        assert "module path" in events[0].detail
-
-
 class TestFallbackBoundary:
-    """Only genuinely unsupported glue falls back; residual graphs compile."""
+    """Only genuinely unsupported glue is refused; residual graphs compile."""
 
     def test_resnet_compiles_and_stays_correct(self, rng):
         model = _warmed_model(
@@ -332,48 +247,13 @@ class TestFallbackBoundary:
             want = model(Tensor(x)).data
         engine = InferenceEngine(model)
         got = engine.predict_logits(x)
-        assert not engine.uses_fallback
+        assert engine.plan_report()["state"] == "compiled"
         _assert_mostly_close(got, want)
-
-    def test_untraceable_model_falls_back_and_stays_exact(self, rng):
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
-        with no_grad():
-            want = model(Tensor(x)).data
-        engine = InferenceEngine(model)
-        with capture_fallback_logs() as records:
-            got = engine.predict_logits(x)
-        assert "module path" in _fallback_events(records)[0].detail
-        assert engine.uses_fallback
-        # The fallback IS the module path: exact, not merely close.
-        np.testing.assert_array_equal(got, want)
 
     def test_untraceable_trace_raises(self, rng):
         model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
         with pytest.raises(PlanTraceError):
             InferencePlan.trace(model, (3, 8, 8))
-
-    def test_plan_report_describes_fallback(self, rng):
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        engine = InferenceEngine(model)
-        assert engine.plan_report()["state"] == "untraced"
-        with capture_fallback_logs() as records:
-            engine.predict_logits(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
-        assert len(_fallback_events(records)) == 1
-        report = engine.plan_report()
-        assert report["state"] == "fallback"
-        assert report["uses_fallback"] is True
-        assert "residual additions" in report["fallback_reason"]
-        assert report["plan"] is None
-
-    def test_integer_fallback_matches_session(self, rng):
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
-        want = IntegerInferenceSession(model).run(x)
-        with capture_fallback_logs() as records:
-            got = InferenceEngine(model, mode="integer").predict_logits(x)
-        assert _fallback_events(records)[0].mode == "integer"
-        np.testing.assert_array_equal(got, want)
 
     def test_resnet_integer_compiles_and_matches_session(self, rng):
         model = _warmed_model(
@@ -384,70 +264,53 @@ class TestFallbackBoundary:
         want = IntegerInferenceSession(model).run(x)
         engine = InferenceEngine(model, mode="integer")
         got = engine.predict_logits(x)
-        assert not engine.uses_fallback
+        assert engine.plan_report()["state"] == "compiled"
         _assert_mostly_close(got, want)
 
 
-class TestFallbackUpgrade:
-    """refresh=True retries the trace and clears the fallback on success."""
+class TestRefusal:
+    """A model that cannot compile is refused, naming the op that blocked it."""
+
+    @pytest.mark.parametrize("mode", ["float", "integer"])
+    def test_predict_logits_refuses_untraceable_model(self, rng, mode):
+        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
+        model.train()
+        x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
+        engine = InferenceEngine(model, mode=mode)
+        with pytest.raises(PlanTraceError, match="division"):
+            engine.predict_logits(x)
+        with pytest.raises(PlanTraceError, match="division"):
+            engine.predict(x)
+        report = engine.plan_report()
+        assert report["state"] == "untraced"
+        assert report["plan"] is None
+        assert model.training  # the failed trace restored the train mode
 
     @pytest.mark.parametrize("mend_to", ["add", "mul", "cat"])
-    def test_refresh_upgrades_mended_model(self, rng, mend_to):
-        """The upgrade path lands on every join kind the compiler serves.
+    def test_refusal_is_not_cached(self, rng, mend_to):
+        """A later call traces again: a mended model compiles without refresh.
 
-        ``mul`` and ``cat`` are the joins that *newly* compile: a model that
-        fell back on its division glue and was repaired into an elementwise
-        multiply or a channel concat must upgrade exactly like the additive
-        repair always did.
+        The mend lands on each join kind the compiler serves.
         """
         model = _warmed_model(lambda: MendableNet(mend_to=mend_to), (3, 8, 8), rng)
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         engine = InferenceEngine(model)
-        with capture_fallback_logs() as records:
+        with pytest.raises(PlanTraceError, match="division"):
             engine.predict_logits(x)
-        assert "module path" in _fallback_events(records)[0].detail
-        assert engine.uses_fallback
-
         model.mended = True  # the glue is rewritten into compilable form
-        # A plain predict must NOT retrace (tracing is not free per call)...
-        engine.predict_logits(x)
-        assert engine.uses_fallback
-        # ...but refresh=True retries, compiles and upgrades the engine.
-        got = engine.predict_logits(x, refresh=True)
-        assert not engine.uses_fallback
+        got = engine.predict_logits(x)
         report = engine.plan_report()
         assert report["state"] == "compiled"
-        assert report["upgraded_after_fallback"] is True
-        assert report["fallback_reason"] is None
         expected_joins = {"add": "residual_joins", "mul": "mul_joins", "cat": "concat_joins"}
         assert report["plan"][expected_joins[mend_to]] == 1
         with no_grad():
             want = model(Tensor(x)).data
         _assert_mostly_close(got, want)
 
-    def test_failed_retry_does_not_relog(self, rng):
+    def test_zero_row_request_is_refused_too(self, rng):
         model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        engine = InferenceEngine(model)
-        with capture_fallback_logs() as records:
-            engine.predict_logits(x)
-            engine.predict_logits(x, refresh=True)  # retries, fails again
-        assert engine.uses_fallback
-        assert len(_fallback_events(records)) == 1
-
-    def test_upgrade_resets_warning_state_for_later_regressions(self, rng):
-        model = _warmed_model(lambda: MendableNet(), (3, 8, 8), rng)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        engine = InferenceEngine(model)
-        with capture_fallback_logs() as records:
-            engine.predict_logits(x)
-        assert len(_fallback_events(records)) == 1
-        model.mended = True
-        engine.predict_logits(x, refresh=True)
-        assert not engine.uses_fallback
-        # The log dedup was cleared by the upgrade: a hypothetical later
-        # fallback announces itself again instead of being swallowed.
-        assert engine._fallback_warned is False
+        with pytest.raises(PlanTraceError, match="division"):
+            InferenceEngine(model).predict_logits(np.empty((0, 3, 8, 8), dtype=np.float32))
 
 
 class TestPlanStructure:
@@ -502,18 +365,11 @@ class TestStepProfiling:
         engine.plan.reset_profile()
         assert engine.plan.step_timings()[0]["calls"] == 0
 
-    def test_env_knob_enables_profiling(self, cnn, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_PROFILE", "1")
-        engine = InferenceEngine(cnn)
-        engine.predict_logits(rng.standard_normal((1, 3, 12, 12)).astype(np.float32))
-        assert engine.plan_report()["step_timings"] is not None
-
-
 class TestZeroRowRequests:
     """Regression: a zero-row batch returns empty logits, not a crash.
 
     The chunk loop used ``range(0, max(n, 1), step)``, which pushed an empty
-    slice through ``plan.run`` / the fallback runner for ``n == 0``.
+    slice through ``plan.run`` for ``n == 0``.
     """
 
     def test_compiled_engine_returns_empty_logits(self, cnn, rng):
@@ -528,15 +384,6 @@ class TestZeroRowRequests:
         x = rng.standard_normal((3, 3, 12, 12)).astype(np.float32)
         engine.predict_logits(x)
         assert engine.predict_logits(x[:0]).shape == (0, 4)
-
-    def test_fallback_engine_returns_empty_logits(self, rng):
-        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
-        engine = InferenceEngine(model)
-        with capture_fallback_logs() as records:
-            out = engine.predict_logits(np.empty((0, 3, 8, 8), dtype=np.float32))
-        assert "module path" in _fallback_events(records)[0].detail
-        assert engine.uses_fallback
-        assert out.shape == (0, 3)
 
     def test_integer_engine_returns_empty_logits(self, cnn):
         engine = InferenceEngine(cnn, mode="integer")
@@ -556,47 +403,3 @@ class TestZeroRowRequests:
         assert set(out) == {"logits", "aux"}
         assert all(value.shape == (0, 5) for value in out.values())
         assert engine.predict(np.empty((0, 3, 8, 8), dtype=np.float32)).shape == (0,)
-
-
-class TestForcedFallback:
-    """REPRO_FORCE_FALLBACK pins an engine to the module path, silently."""
-
-    def test_kwarg_forces_fallback_without_warning(self, cnn, rng):
-        x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
-        engine = InferenceEngine(cnn, force_fallback=True)
-        with capture_fallback_logs() as records:
-            got = engine.predict_logits(x)
-        assert engine.uses_fallback
-        assert not _fallback_events(records)
-        report = engine.plan_report()
-        assert report["forced_fallback"] is True
-        assert "REPRO_FORCE_FALLBACK" in report["fallback_reason"]
-        with no_grad():
-            want = cnn(Tensor(x)).data
-        np.testing.assert_array_equal(got, want)
-
-    def test_env_knob_forces_fallback(self, cnn, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_FALLBACK", "1")
-        engine = InferenceEngine(cnn)
-        engine.predict_logits(rng.standard_normal((1, 3, 12, 12)).astype(np.float32))
-        assert engine.uses_fallback
-        assert engine.plan_report()["forced_fallback"] is True
-
-    def test_kwarg_overrides_env(self, cnn, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_FALLBACK", "1")
-        engine = InferenceEngine(cnn, force_fallback=False)
-        engine.predict_logits(rng.standard_normal((1, 3, 12, 12)).astype(np.float32))
-        assert not engine.uses_fallback
-
-    def test_strict_warmup_tolerates_forced_fallback(self, cnn):
-        engine = InferenceEngine(cnn, force_fallback=True)
-        engine.warmup(require_compiled=True)  # must not raise
-        assert engine.uses_fallback
-
-    def test_refresh_cannot_upgrade_a_forced_engine(self, cnn, rng):
-        x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
-        engine = InferenceEngine(cnn, force_fallback=True)
-        engine.predict_logits(x)
-        engine.predict_logits(x, refresh=True)
-        assert engine.uses_fallback
-        assert engine.plan_report()["upgraded_after_fallback"] is False

@@ -16,6 +16,7 @@ from repro.serve import (
     InferenceEngine,
     ModelRegistry,
     ModelServer,
+    PlanTraceError,
     Request,
     RequestQueue,
     ServerClosed,
@@ -622,6 +623,29 @@ class TestServerLifecycleAndAdmission:
 # --------------------------------------------------------------------------- #
 # thread-safety of shared state
 # --------------------------------------------------------------------------- #
+    def test_untraceable_model_fails_its_requests_and_the_server_keeps_serving(
+        self, cnn, rng
+    ):
+        from .parity import UntraceableNet
+
+        server = ModelServer(max_batch_size=4, max_delay_ms=1.0)
+        server.register("untraceable", UntraceableNet(image_size=12))
+        server.register("compiled", cnn)
+        with server:
+            for _ in range(2):  # the lane survives the refusal and refuses again
+                future = server.submit(
+                    "untraceable", rng.standard_normal(CNN_SHAPE).astype(np.float32)
+                )
+                with pytest.raises(PlanTraceError, match="division"):
+                    future.result(timeout=60)
+            logits = server.predict(
+                "compiled", rng.standard_normal(CNN_SHAPE).astype(np.float32), timeout=60
+            )
+            assert logits.shape == (4,)
+            assert server.metrics("untraceable")["requests"]["failed"] == 2
+            assert server.metrics("compiled")["requests"]["completed"] == 1
+
+
 class TestThreadSafety:
     def test_no_grad_is_thread_local(self):
         from repro.nn.tensor import is_grad_enabled, no_grad
@@ -735,37 +759,6 @@ class TestServerMetrics:
         assert set(payload["models"]) == {"float", "int"}
         assert payload["server"]["models_hosted"]["int"]["mode"] == "integer"
 
-    def test_metrics_count_compiled_vs_fallback_requests(self, cnn, rng):
-        from .parity import UntraceableNet
-
-        fallback_model = UntraceableNet(image_size=12)
-        server = ModelServer(max_batch_size=4, max_delay_ms=1.0)
-        server.register("compiled", cnn)
-        server.register("fallback", fallback_model)
-        # The fallback announcement is a structured log line now, not a
-        # RuntimeWarning — nothing to suppress here.
-        with server:
-            for _ in range(3):
-                server.predict(
-                    "compiled",
-                    rng.standard_normal(CNN_SHAPE).astype(np.float32),
-                    timeout=60,
-                )
-            for _ in range(2):
-                server.predict(
-                    "fallback",
-                    rng.standard_normal((3, 12, 12)).astype(np.float32),
-                    timeout=60,
-                )
-            compiled_metrics = server.metrics("compiled")
-            fallback_metrics = server.metrics("fallback")
-            totals = server.metrics()["server"]
-
-        assert compiled_metrics["engine_path"] == {"compiled": 3, "fallback": 0}
-        assert fallback_metrics["engine_path"] == {"compiled": 0, "fallback": 2}
-        assert totals["requests_compiled"] == 3
-        assert totals["requests_fallback"] == 2
-
 
 # --------------------------------------------------------------------------- #
 # ServerMetrics: aggregation and torn-read safety (the cluster poller's view)
@@ -778,14 +771,12 @@ class TestServerMetricsMergeAndConsistency:
         a.record_admitted(queue_depth=3)
         a.record_completion(0.010, 0.002, samples=1)
         a.record_batch(1, 0.005)
-        a.record_served_path(1, fallback=False)
         b.record_admitted(queue_depth=7)
         b.record_admitted(queue_depth=1)
         b.record_completion(0.030, 0.004, samples=2)
         b.record_batch(2, 0.002)
         b.record_batch(2, 0.003)
         b.record_failed()
-        b.record_served_path(1, fallback=True)
 
         merged = ServerMetrics.merged([a, b])
         counters = merged.counters()
@@ -797,7 +788,6 @@ class TestServerMetricsMergeAndConsistency:
         snapshot = merged.snapshot()
         assert snapshot["batches"]["occupancy_histogram"] == {"1": 1, "2": 2}
         assert snapshot["queue_depth_highwater"] == 7
-        assert snapshot["engine_path"] == {"compiled": 1, "fallback": 1}
         assert snapshot["latency_ms"]["max"] == 30.0
         # Inputs are not mutated by aggregation.
         assert a.counters()["admitted"] == 1

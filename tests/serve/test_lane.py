@@ -32,7 +32,6 @@ class FakeHandle:
     """Stands in for a WorkerHandle: alive until killed or shut down."""
 
     pid = 4242
-    uses_fallback = False
 
     def __init__(self) -> None:
         self.alive = True
