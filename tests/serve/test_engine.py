@@ -281,10 +281,17 @@ class TestRefusal:
             engine.predict_logits(x)
         with pytest.raises(PlanTraceError, match="division"):
             engine.predict(x)
+        assert model.training  # the failed trace restored the train mode
+
+    def test_plan_report_stays_untraced_after_refusal(self, rng):
+        model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
+        engine = InferenceEngine(model)
+        assert engine.plan_report()["state"] == "untraced"
+        with pytest.raises(PlanTraceError, match="division"):
+            engine.predict_logits(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
         report = engine.plan_report()
         assert report["state"] == "untraced"
         assert report["plan"] is None
-        assert model.training  # the failed trace restored the train mode
 
     @pytest.mark.parametrize("mend_to", ["add", "mul", "cat"])
     def test_refusal_is_not_cached(self, rng, mend_to):
