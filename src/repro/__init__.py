@@ -47,7 +47,6 @@ from .backend import (
 from .models import build_model, available_models
 from .serve import (
     Autoscaler,
-    ClusterClient,
     ClusterServer,
     InferenceEngine,
     InferencePlan,
@@ -81,7 +80,6 @@ __all__ = [
     "build_model",
     "available_models",
     "Autoscaler",
-    "ClusterClient",
     "ClusterServer",
     "InferenceEngine",
     "InferencePlan",

@@ -2,7 +2,7 @@
 
 The subpackage provides a self-contained replacement for the pieces of
 PyTorch the paper depends on: a reverse-mode autodiff :class:`Tensor`, CNN
-layers, losses, optimizers and learning-rate schedules.
+layers, the cross-entropy loss, SGD and the multi-step learning-rate schedule.
 """
 
 from .tensor import Tensor, no_grad, is_grad_enabled, unbroadcast
@@ -25,17 +25,8 @@ from .modules import (
     Sequential,
     Sigmoid,
 )
-from .loss import CrossEntropyLoss, MSELoss, accuracy, topk_accuracy
-from .optim import (
-    SGD,
-    Adam,
-    ConstantLR,
-    CosineAnnealingLR,
-    LRScheduler,
-    MultiStepLR,
-    Optimizer,
-    StepLR,
-)
+from .loss import CrossEntropyLoss, accuracy
+from .optim import SGD, MultiStepLR
 
 __all__ = [
     "Tensor",
@@ -60,15 +51,7 @@ __all__ = [
     "Flatten",
     "Dropout",
     "CrossEntropyLoss",
-    "MSELoss",
     "accuracy",
-    "topk_accuracy",
-    "Optimizer",
     "SGD",
-    "Adam",
-    "LRScheduler",
-    "StepLR",
     "MultiStepLR",
-    "CosineAnnealingLR",
-    "ConstantLR",
 ]

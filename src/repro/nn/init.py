@@ -15,11 +15,8 @@ __all__ = [
     "calculate_fan",
     "kaiming_normal",
     "kaiming_uniform",
-    "xavier_uniform",
-    "xavier_normal",
     "zeros",
     "ones",
-    "constant",
 ]
 
 
@@ -53,27 +50,9 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, nonlineari
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    fan_in, fan_out = calculate_fan(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-normal initialization."""
-    fan_in, fan_out = calculate_fan(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 
 
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
     return np.ones(shape, dtype=np.float32)
-
-
-def constant(shape: Tuple[int, ...], value: float) -> np.ndarray:
-    return np.full(shape, value, dtype=np.float32)

@@ -1,20 +1,18 @@
 """Loss functions and classification metrics.
 
-Thin class wrappers around :mod:`repro.nn.functional` losses so training code
-can hold a configured criterion object, plus the accuracy metrics reported in
-the paper's tables.
+A thin class wrapper around :func:`repro.nn.functional.cross_entropy` so
+training code can hold a configured criterion object, plus the top-1 accuracy
+reported in the paper's tables.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 
 from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "accuracy", "topk_accuracy"]
+__all__ = ["CrossEntropyLoss", "accuracy"]
 
 
 class CrossEntropyLoss:
@@ -35,30 +33,8 @@ class CrossEntropyLoss:
         )
 
 
-class MSELoss:
-    """Mean squared error between a prediction tensor and a target array."""
-
-    def __call__(self, prediction: Tensor, target: np.ndarray) -> Tensor:
-        diff = prediction - Tensor(np.asarray(target, dtype=np.float32))
-        return (diff * diff).mean()
-
-
 def accuracy(logits: Tensor, targets: np.ndarray) -> float:
     """Top-1 classification accuracy in [0, 1]."""
     predictions = logits.data.argmax(axis=-1)
     targets = np.asarray(targets)
     return float((predictions == targets).mean())
-
-
-def topk_accuracy(logits: Tensor, targets: np.ndarray, ks: Sequence[int] = (1, 5)) -> dict:
-    """Top-k accuracy for each ``k`` in ``ks`` (k capped at the class count)."""
-    targets = np.asarray(targets)
-    scores = logits.data
-    num_classes = scores.shape[-1]
-    order = np.argsort(-scores, axis=-1)
-    results = {}
-    for k in ks:
-        k_eff = min(k, num_classes)
-        hits = (order[:, :k_eff] == targets[:, None]).any(axis=1)
-        results[k] = float(hits.mean())
-    return results

@@ -1,57 +1,22 @@
-"""Optimizers and learning-rate schedules for the NumPy DNN substrate.
+"""Optimizer and learning-rate schedule for the NumPy DNN substrate.
 
 The BMPQ paper trains with SGD + momentum and a multi-step learning-rate decay
-(0.1 at epochs 80/140 for CIFAR, 40/70 for Tiny-ImageNet).  Both are provided
-here, along with Adam and a cosine schedule used by the ablation benchmarks.
+(0.1 at epochs 80/140 for CIFAR, 40/70 for Tiny-ImageNet); this module
+provides exactly those two.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "LRScheduler",
-    "StepLR",
-    "MultiStepLR",
-    "CosineAnnealingLR",
-    "ConstantLR",
-]
+__all__ = ["SGD", "MultiStepLR"]
 
 
-class Optimizer:
-    """Base optimizer holding a reference to the parameters it updates."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float) -> None:
-        self.params: List[Tensor] = [p for p in params]
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"lr": self.lr}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.lr = float(state["lr"])
-
-
-class SGD(Optimizer):
+class SGD:
     """Stochastic gradient descent with momentum, weight decay and Nesterov.
 
     Matches the update rule used by PyTorch, which is what the paper's
@@ -66,15 +31,24 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ) -> None:
-        super().__init__(params, lr)
+        self.params: List[Tensor] = [p for p in params]
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         if momentum < 0.0:
             raise ValueError(f"momentum must be non-negative, got {momentum}")
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov momentum requires momentum > 0")
+        self.lr = float(lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.nesterov = nesterov
         self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
+
+    def zero_grad(self) -> None:
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         for index, param in enumerate(self.params):
@@ -112,91 +86,17 @@ class SGD(Optimizer):
             self._velocity = [None if v is None else np.asarray(v).copy() for v in velocity]
 
 
-class Adam(Optimizer):
-    """Adam optimizer, used by some ablation configurations."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas: Sequence[float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m: List[Optional[np.ndarray]] = [None] * len(self.params)
-        self._v: List[Optional[np.ndarray]] = [None] * len(self.params)
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self._m[index] is None:
-                self._m[index] = np.zeros_like(param.data)
-                self._v[index] = np.zeros_like(param.data)
-            self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * grad * grad
-            m_hat = self._m[index] / (1 - self.beta1 ** self._t)
-            v_hat = self._v[index] / (1 - self.beta2 ** self._t)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            param.bump_version()
-
-
-class LRScheduler:
-    """Base class for learning-rate schedules driven by the epoch counter."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.last_epoch = -1
-
-    def get_lr(self, epoch: int) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def step(self, epoch: Optional[int] = None) -> float:
-        """Advance to ``epoch`` (or the next epoch) and update the optimizer."""
-        self.last_epoch = self.last_epoch + 1 if epoch is None else epoch
-        lr = self.get_lr(self.last_epoch)
-        self.optimizer.lr = lr
-        return lr
-
-
-class ConstantLR(LRScheduler):
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class StepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class MultiStepLR(LRScheduler):
+class MultiStepLR:
     """Decay the learning rate by ``gamma`` at each milestone epoch.
 
     This is the schedule used in the paper: milestones (80, 140) for CIFAR and
     (40, 70) for Tiny-ImageNet with ``gamma = 0.1``.
     """
 
-    def __init__(self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
+    def __init__(self, optimizer: SGD, milestones: Sequence[int], gamma: float = 0.1) -> None:
+        self.optimizer = optimizer
+        self.base_lr = optimizer.lr
+        self.last_epoch = -1
         self.milestones = sorted(int(m) for m in milestones)
         self.gamma = gamma
 
@@ -204,17 +104,9 @@ class MultiStepLR(LRScheduler):
         passed = sum(1 for milestone in self.milestones if epoch >= milestone)
         return self.base_lr * self.gamma ** passed
 
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(max(epoch, 0), self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * progress))
+    def step(self, epoch: Optional[int] = None) -> float:
+        """Advance to ``epoch`` (or the next epoch) and update the optimizer."""
+        self.last_epoch = self.last_epoch + 1 if epoch is None else epoch
+        lr = self.get_lr(self.last_epoch)
+        self.optimizer.lr = lr
+        return lr

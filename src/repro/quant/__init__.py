@@ -1,18 +1,6 @@
 """Quantization substrate: quantizers, PACT, bit representation, Q-layers."""
 
-from .bitrep import (
-    bit_position_weights,
-    code_range,
-    from_twos_complement_bits,
-    to_twos_complement_bits,
-)
-from .alternatives import (
-    AsymmetricQuantizerOutput,
-    asymmetric_quantize,
-    asymmetric_quantize_ste,
-    dorefa_quantize_weights,
-    dorefa_quantize_weights_ste,
-)
+from .bitrep import bit_position_weights, code_range
 from .integer_inference import (
     IntegerInferenceSession,
     QuantizedLayerExport,
@@ -22,13 +10,6 @@ from .integer_inference import (
 )
 from .packing import PackedCodes, pack_codes, packable_bits, unpack_codes
 from .pact import PACT, pact
-from .perchannel import (
-    PerChannelQuantizerOutput,
-    per_channel_scales,
-    per_tensor_vs_per_channel_error,
-    quantize_per_channel_array,
-    quantize_per_channel_ste,
-)
 from .qmodules import QConv2d, QLinear, QuantizedLayer, weight_cache_disabled
 from .quantizers import (
     QuantizerOutput,
@@ -44,25 +25,13 @@ from .quantizers import (
 )
 
 __all__ = [
-    "AsymmetricQuantizerOutput",
-    "asymmetric_quantize",
-    "asymmetric_quantize_ste",
-    "dorefa_quantize_weights",
-    "dorefa_quantize_weights_ste",
     "IntegerInferenceSession",
     "QuantizedLayerExport",
     "export_model",
     "integer_conv2d",
     "integer_linear",
-    "PerChannelQuantizerOutput",
-    "per_channel_scales",
-    "per_tensor_vs_per_channel_error",
-    "quantize_per_channel_array",
-    "quantize_per_channel_ste",
     "bit_position_weights",
     "code_range",
-    "from_twos_complement_bits",
-    "to_twos_complement_bits",
     "PackedCodes",
     "pack_codes",
     "packable_bits",

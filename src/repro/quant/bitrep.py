@@ -6,9 +6,9 @@ writes a signed code as
 
     w_q / S_w = -2^{q-1} * b_{q-1} + sum_{i=0}^{q-2} 2^i * b_i
 
-with ``b_i`` in {0, 1}.  This module converts integer codes to and from that
-representation and exposes the per-bit positional weights
-``[∂(w_q)/∂b_i]`` needed by :mod:`repro.core.bit_gradients`.
+with ``b_i`` in {0, 1}.  This module exposes the per-bit positional weights
+``[∂(w_q)/∂b_i]`` of that representation, needed by
+:mod:`repro.core.bit_gradients`, and the representable code range.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 __all__ = [
     "bit_position_weights",
-    "to_twos_complement_bits",
-    "from_twos_complement_bits",
     "code_range",
 ]
 
@@ -46,48 +44,3 @@ def bit_position_weights(bits: int, scale: float = 1.0) -> np.ndarray:
         dtype=np.float64,
     )
     return positions * float(scale)
-
-
-def to_twos_complement_bits(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Decompose signed integer codes into two's-complement bit planes.
-
-    Parameters
-    ----------
-    codes:
-        Array of signed integer codes (any shape); values must fit in the
-        representable range of ``bits``.
-    bits:
-        Word width ``q``.
-
-    Returns
-    -------
-    Array of shape ``codes.shape + (bits,)`` with entries in {0, 1}, ordered
-    from the sign bit (index 0) down to the least significant bit.
-    """
-    codes = np.asarray(codes)
-    low, high = code_range(bits)
-    rounded = np.round(codes).astype(np.int64)
-    if rounded.min(initial=0) < low or rounded.max(initial=0) > high:
-        raise ValueError(
-            f"codes out of range for {bits}-bit two's complement: "
-            f"[{rounded.min()}, {rounded.max()}] not within [{low}, {high}]"
-        )
-    unsigned = np.where(rounded < 0, rounded + (1 << bits), rounded).astype(np.uint64)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    planes = (unsigned[..., None] >> shifts) & np.uint64(1)
-    return planes.astype(np.float32)
-
-
-def from_twos_complement_bits(bit_planes: np.ndarray, bits: int) -> np.ndarray:
-    """Recompose signed integer codes from two's-complement bit planes.
-
-    Inverse of :func:`to_twos_complement_bits`; used to verify round-trip
-    consistency in the test suite and to implement Eq. (5) directly.
-    """
-    bit_planes = np.asarray(bit_planes, dtype=np.float64)
-    if bit_planes.shape[-1] != bits:
-        raise ValueError(
-            f"last dimension {bit_planes.shape[-1]} does not match bit width {bits}"
-        )
-    weights = bit_position_weights(bits, scale=1.0)
-    return np.tensordot(bit_planes, weights, axes=([-1], [0]))

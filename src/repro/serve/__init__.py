@@ -26,17 +26,14 @@ throughput).
 Above the frontend sits the *cluster* layer (:mod:`repro.serve.cluster`):
 :class:`ClusterServer` shards each variant across worker **processes**
 booted from versioned quantized checkpoints, speaks a length-prefixed
-binary wire protocol to them (and to external TCP clients via
-:class:`TcpFrontend`/:class:`ClusterClient`), restarts crashed workers, and
-lets an :class:`Autoscaler` move per-variant shard counts with load.
+binary wire protocol to them over socketpairs, restarts crashed workers,
+and lets an :class:`Autoscaler` move per-variant shard counts with load.
 """
 
 from .cluster import (
     Autoscaler,
     AutoscalerPolicy,
-    ClusterClient,
     ClusterServer,
-    TcpFrontend,
     WorkerCrashed,
 )
 from .engine import InferenceEngine
@@ -58,9 +55,7 @@ from .workspace import PlanWorkspace
 __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
-    "ClusterClient",
     "ClusterServer",
-    "TcpFrontend",
     "WorkerCrashed",
     "InferenceEngine",
     "InferencePlan",

@@ -1,4 +1,4 @@
-"""Chaos harness: seeded traffic, injected faults, offline policy replay.
+"""Chaos harness: seeded traffic and injected faults.
 
 The serving stack (:mod:`repro.serve.frontend`, :mod:`repro.serve.cluster`)
 claims containment properties — a crashed worker fails only its in-flight
@@ -9,16 +9,15 @@ exists to *attack* those claims reproducibly:
 * :mod:`.trafficgen` — seeded arrival processes (Poisson, ON-OFF bursty,
   Pareto heavy-tail) generating **replayable traces** of mixed batch sizes,
   priorities and deadlines, plus a trace runner that plays them against a
-  live cluster and classifies every outcome; misbehaving TCP clients
-  (slow readers, wedged half-frames, malformed magic) for the frontend edge.
+  live cluster and classifies every outcome.
 * :mod:`.faults` — a seeded :class:`~repro.serve.chaos.faults.FaultPlan`
   composing kill storms, frame delay/drop at the transport seam, and
   artificial worker latency.  The default plan is a no-op; production code
   pays one ``None`` check per send/recv for the whole machinery.
-* :mod:`.replay` — recorded traces fed through the *pure* policy cores
-  (:func:`repro.serve.cluster.autoscaler.decide`, :class:`CircuitBreaker`,
-  :class:`RequestQueue` shedding) with no process spawned: a chaos run's
-  policy behaviour is debuggable offline, deterministically.
+
+``benchmarks/bench_cluster.py`` drives both in its chaos phase.  The offline
+replay of traces through the pure policy cores lives with its tests
+(``tests/serve/chaos_replay.py``).
 
 Everything is seeded; a chaos failure is a seed, not an anecdote.
 """
@@ -28,18 +27,12 @@ from .trafficgen import (
     BurstyArrivals,
     ParetoArrivals,
     PoissonArrivals,
-    SlowReader,
     TraceOutcome,
     TrafficSpec,
     generate_trace,
-    load_trace,
-    open_wedged_connection,
     record_inputs,
     run_trace,
-    save_trace,
-    send_malformed_frame,
 )
-from .replay import replay_autoscaler, replay_breaker, replay_shedding
 
 __all__ = [
     "PoissonArrivals",
@@ -48,18 +41,10 @@ __all__ = [
     "TrafficSpec",
     "TraceOutcome",
     "generate_trace",
-    "save_trace",
-    "load_trace",
     "record_inputs",
     "run_trace",
     "FaultPlan",
     "FrameFaults",
     "DispatchFaults",
     "KillStormEvent",
-    "SlowReader",
-    "open_wedged_connection",
-    "send_malformed_frame",
-    "replay_autoscaler",
-    "replay_breaker",
-    "replay_shedding",
 ]

@@ -51,8 +51,8 @@ _DATA_KINDS = frozenset({FrameKind.REQUEST, FrameKind.RESPONSE, FrameKind.ERROR}
 class FrameFaults:
     """Seeded frame-level loss and delay for :class:`FrameChannel`.
 
-    Installed process-wide (one injector covers every channel: router-worker
-    socketpairs and TCP alike).  All randomness comes from one
+    Installed process-wide (one injector covers every router-worker
+    socketpair channel).  All randomness comes from one
     ``random.Random`` under a lock, so a seed reproduces the exact same
     drop/delay sequence given the same frame order.
     """

@@ -8,11 +8,9 @@ each fully determined by the spec and one integer seed::
 
 ``t`` is the arrival offset (seconds from trace start), ``seed`` makes the
 input tensor bitwise-reconstructible (:func:`record_inputs`), and the rest
-parameterizes the submit call.  Traces serialize to JSON
-(:func:`save_trace`/:func:`load_trace`), so the exact request stream of a
-chaos run can be attached to a bug report and replayed — against a live
-cluster with :func:`run_trace`, or against the pure policy cores with
-:mod:`repro.serve.chaos.replay` and no processes at all.
+parameterizes the submit call.  A trace is plain JSON-serializable data, so
+the exact request stream of a chaos run can be kept and replayed against a
+live cluster with :func:`run_trace`.
 
 Arrival processes are deliberately simple closed forms over one
 ``random.Random``:
@@ -24,18 +22,11 @@ Arrival processes are deliberately simple closed forms over one
   This is the load shape that defeats naive autoscalers.
 * :class:`ParetoArrivals` — heavy-tailed gaps; rare long gaps punctuated by
   clumps, the "self-similar" traffic that keeps tail latencies honest.
-
-The TCP misbehaviour helpers (:class:`SlowReader`,
-:func:`open_wedged_connection`, :func:`send_malformed_frame`) attack the
-frontend edge the way real misbehaving clients do: reading one byte at a
-time, parking half a frame header forever, or speaking garbage magic.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,15 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..frontend.queuing import DeadlineExceeded, ServerClosed, ServerOverloaded
-from ..cluster.protocol import (
-    FrameKind,
-    HEADER,
-    MAGIC,
-    PROTOCOL_VERSION,
-    WorkerCrashed,
-    encode_frame,
-    encode_request,
-)
+from ..cluster.protocol import WorkerCrashed
 
 __all__ = [
     "PoissonArrivals",
@@ -61,13 +44,8 @@ __all__ = [
     "TrafficSpec",
     "TraceOutcome",
     "generate_trace",
-    "save_trace",
-    "load_trace",
     "record_inputs",
     "run_trace",
-    "SlowReader",
-    "open_wedged_connection",
-    "send_malformed_frame",
 ]
 
 
@@ -217,17 +195,6 @@ def generate_trace(spec: TrafficSpec, seed: int = 0) -> List[Dict[str, object]]:
     return records
 
 
-def save_trace(path: str, trace: List[Dict[str, object]]) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, separators=(",", ":"))
-    return path
-
-
-def load_trace(path: str) -> List[Dict[str, object]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def record_inputs(record: Dict[str, object], sample_shape: Sequence[int]) -> np.ndarray:
     """The record's input tensor, bitwise-reconstructible from its seed."""
     generator = np.random.default_rng(int(record["seed"]))
@@ -374,95 +341,3 @@ def run_trace(
                 trace_id=f"trace-{record.get('id', index)}",
             )
     return [outcome for outcome in outcomes if outcome is not None]
-
-
-# --------------------------------------------------------------------------- #
-# misbehaving TCP clients (for the TcpFrontend edge)
-# --------------------------------------------------------------------------- #
-class SlowReader:
-    """A client that submits a request, then reads the reply one byte at a time.
-
-    Models a congested or malicious reader: the frontend's sender must not
-    let one slow connection wedge the serving path for everyone else.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        variant: str,
-        inputs: np.ndarray,
-        byte_delay_s: float = 0.001,
-    ) -> None:
-        self._sock = socket.create_connection((host, port), timeout=10.0)
-        self._variant = variant
-        self._inputs = np.ascontiguousarray(np.asarray(inputs, dtype=np.float32))
-        self._byte_delay_s = byte_delay_s
-        self.received = bytearray()
-
-    def run(self, timeout_s: float = 30.0) -> bytes:
-        """Send the request, then trickle-read until one full frame arrived."""
-        self._sock.sendall(
-            encode_frame(FrameKind.REQUEST, 1, encode_request(self._variant, self._inputs))
-        )
-        deadline = time.monotonic() + timeout_s
-        needed = HEADER.size
-        while time.monotonic() < deadline:
-            chunk = self._sock.recv(1)
-            if not chunk:
-                break
-            self.received.extend(chunk)
-            if len(self.received) == HEADER.size:
-                _, _, _, _, payload_len = HEADER.unpack(bytes(self.received))
-                needed = HEADER.size + payload_len
-            if len(self.received) >= needed > HEADER.size:
-                break
-            time.sleep(self._byte_delay_s)
-        return bytes(self.received)
-
-    def close(self) -> None:
-        self._sock.close()
-
-
-def open_wedged_connection(host: str, port: int) -> socket.socket:
-    """Open a connection, park half a frame header on it, and hold.
-
-    The frontend's per-connection reader must keep the partial bytes
-    buffered without blocking any other connection; the caller owns closing
-    the socket (which is the chaos event: mid-header EOF).
-    """
-    sock = socket.create_connection((host, port), timeout=10.0)
-    half_header = HEADER.pack(MAGIC, PROTOCOL_VERSION, int(FrameKind.REQUEST), 7, 64)[
-        : HEADER.size // 2
-    ]
-    sock.sendall(half_header)
-    return sock
-
-
-def send_malformed_frame(host: str, port: int, kind: str = "bad_magic") -> bool:
-    """Send one malformed frame; True when the frontend dropped the connection.
-
-    ``kind``: ``"bad_magic"`` (foreign protocol), ``"bad_version"`` (future
-    frame layout), or ``"truncated"`` (header promises more payload than is
-    ever sent, then EOF).  A healthy frontend answers all three by dropping
-    the connection — never by crashing or by misparsing the stream.
-    """
-    sock = socket.create_connection((host, port), timeout=10.0)
-    try:
-        if kind == "bad_magic":
-            sock.sendall(b"XX" + bytes(HEADER.size - 2))
-        elif kind == "bad_version":
-            sock.sendall(HEADER.pack(MAGIC, 99, int(FrameKind.REQUEST), 1, 0))
-        elif kind == "truncated":
-            sock.sendall(HEADER.pack(MAGIC, PROTOCOL_VERSION, int(FrameKind.REQUEST), 1, 4096))
-            sock.sendall(b"\x00" * 16)  # 16 of the promised 4096 bytes, then EOF
-            sock.shutdown(socket.SHUT_WR)
-        else:
-            raise ValueError(f"unknown malformed-frame kind {kind!r}")
-        sock.settimeout(5.0)
-        try:
-            return sock.recv(1) == b""  # EOF = the frontend dropped us
-        except socket.timeout:
-            return False
-    finally:
-        sock.close()

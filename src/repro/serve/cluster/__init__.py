@@ -7,10 +7,11 @@ engine (so a GIL-bound serving path caps a host at roughly one core),
 *processes*, each booted from a versioned quantized checkpoint and spoken to
 over a length-prefixed binary protocol (:mod:`.protocol`) that carries raw
 ndarray payloads — no pickle on the hot path — over socketpair pipes
-(:mod:`.transport`).  A :class:`TcpFrontend` exposes the same protocol on a
-TCP port so external clients (:class:`ClusterClient`) hit the cluster
-directly, and an :class:`Autoscaler` grows/shrinks per-variant shard counts
-from queue-depth and p95-latency telemetry.
+(:mod:`.transport`).  Callers reach the cluster in-process through
+:meth:`ClusterServer.submit`/``predict``; there is no network listener.  A
+per-shard :class:`CircuitBreaker` ejects failing shards, and an
+:class:`Autoscaler` grows/shrinks per-variant shard counts from queue-depth
+and p95-latency telemetry.
 
 Quickstart::
 
@@ -39,13 +40,7 @@ from .protocol import (
     WorkerCrashed,
 )
 from .router import ClusterServer
-from .transport import (
-    ChannelClosed,
-    ClusterClient,
-    FrameChannel,
-    RetryPolicy,
-    TcpFrontend,
-)
+from .transport import ChannelClosed, FrameChannel
 from .worker import WorkerBootError, WorkerOptions, spawn_worker
 
 __all__ = [
@@ -61,10 +56,7 @@ __all__ = [
     "WorkerCrashed",
     "ClusterServer",
     "ChannelClosed",
-    "ClusterClient",
     "FrameChannel",
-    "RetryPolicy",
-    "TcpFrontend",
     "WorkerBootError",
     "WorkerOptions",
     "spawn_worker",

@@ -17,8 +17,8 @@ rescues it.  :class:`CircuitBreaker` is the standard three-state machine:
 
 The machine is **pure policy**: every transition is driven by explicit
 ``record_success``/``record_failure``/``allow`` calls with an injectable
-clock, so chaos traces can be replayed through it offline
-(:func:`repro.serve.chaos.replay.replay_breaker`) and the router can embed
+clock, so chaos traces can be replayed through it offline (the chaos
+tests' ``replay_breaker``) and the router can embed
 one per shard without any new threads.  Thread safety is a single lock; the
 hot-path cost when healthy is one lock acquisition per routing decision.
 """

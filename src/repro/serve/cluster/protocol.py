@@ -1,8 +1,7 @@
 """The cluster wire protocol: versioned, length-prefixed binary frames.
 
 Everything that crosses a process boundary in :mod:`repro.serve.cluster` —
-router to worker over a socketpair, external client to the TCP frontend — is
-a sequence of **frames** with this layout (all integers big-endian)::
+router to worker over a socketpair — is a sequence of **frames** with this layout (all integers big-endian)::
 
     offset  size  field
     0       2     magic          b"RQ"
@@ -32,14 +31,13 @@ Payload encodings (no pickle anywhere on the hot path):
       ...  raw C-contiguous array bytes
 
 * **REQUEST** — ``u16 name_len | name utf-8 | ndarray | [trace block]``
-  (the model/variant name routes the request at the TCP frontend; workers
-  serve exactly one variant and validate it).
+  (each worker serves exactly one variant and validates the name).
 * **trace block** (optional, version 2) — ``u32 json_len | json utf-8``
   appended after the ndarray in REQUEST and RESPONSE payloads.  Carries the
   batch's trace ids on the way in and the worker's measured execute time on
   the way out, so spans attribute wire transit vs. engine time exactly.
-  Decoders that predate it (or ignore it, like the external
-  ``ClusterClient``) stop at the ndarray's end and are unaffected.
+  Decoders that predate it (or ignore it) stop at the ndarray's end and
+  are unaffected.
 * **ERROR** — ``u16 code_len | code utf-8 | u32 message_len | message utf-8``;
   ``code`` is a stable identifier from :data:`ERROR_CODES` so the receiving
   side re-raises the *typed* exception (:class:`ServerOverloaded` stays

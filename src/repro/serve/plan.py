@@ -366,6 +366,9 @@ def _build_ops(
     probe_id = table.register(probe)
     ops: List[_Op] = []
     last_value = probe_id
+    # The unsupported glue op recorded since ``last_value``, if any: a
+    # flatten inferred from ``last_value`` would silently skip it.
+    glue_after_last: Optional[str] = None
     # Outputs of recorded unsupported glue -> the op's name (the events list
     # keeps the tensors alive, so ids stay unique).
     blocked = {
@@ -391,6 +394,11 @@ def _build_ops(
         if vid is not None:
             return vid
         refuse_untraced([tensor], where)
+        if glue_after_last is not None:
+            raise PlanTraceError(
+                f"{where}'s input follows a {glue_after_last}, which cannot "
+                f"be compiled; {supported}"
+            )
         # Unknown tensor: the only inferable glue is a flatten of the most
         # recently produced value.
         last_shape = table.shapes[last_value]
@@ -408,6 +416,10 @@ def _build_ops(
         )
 
     for event in events:
+        if isinstance(event, _UnsupportedEvent):
+            # Fails only if a traced op or the output consumes it.
+            glue_after_last = event.op
+            continue
         if isinstance(event, _TraceEvent):
             if event.output_tensor is event.input_tensor:
                 continue  # eval-mode identity pass-through (Identity, Dropout)
@@ -416,9 +428,6 @@ def _build_ops(
             )
             out_id = table.register(event.output_tensor)
             ops.append(_Op("leaf", event.module, [in_id], out_id))
-            last_value = out_id
-        elif isinstance(event, _UnsupportedEvent):
-            continue  # fails only if a traced op or the output consumes it
         elif isinstance(event, (_AddEvent, _MulEvent)):
             join = "addition" if isinstance(event, _AddEvent) else "multiplication"
             lhs_id = table.lookup(event.lhs)
@@ -442,7 +451,6 @@ def _build_ops(
             out_id = table.register(event.output_tensor)
             kind = "add" if isinstance(event, _AddEvent) else "mul"
             ops.append(_Op(kind, None, [lhs_id, rhs_id], out_id))
-            last_value = out_id
         else:  # _CatEvent
             in_ids = [table.lookup(t) for t in event.inputs]
             if any(vid is None for vid in in_ids):
@@ -468,7 +476,8 @@ def _build_ops(
                 )
             out_id = table.register(event.output_tensor)
             ops.append(_Op("cat", None, list(in_ids), out_id))
-            last_value = out_id
+        last_value = out_id
+        glue_after_last = None
 
     outputs: List[Tuple[Optional[str], int]] = []
     for name, tensor in _normalize_outputs(output):

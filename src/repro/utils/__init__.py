@@ -1,7 +1,6 @@
-"""Shared utilities: seeding, logging, checkpoints, timing."""
+"""Shared utilities: logging, checkpoints, timing."""
 
 from .logging import LogEntry, RunLogger
-from .rng import SeedSequenceFactory, seed_everything, spawn_generators
 from .serialization import (
     CheckpointFormatError,
     QUANTIZED_CHECKPOINT_VERSION,
@@ -14,8 +13,6 @@ from .serialization import (
 )
 from .timing import (
     RollingHistogram,
-    StopwatchRegistry,
-    Timer,
     best_mean_seconds,
     percentile,
 )
@@ -23,9 +20,6 @@ from .timing import (
 __all__ = [
     "LogEntry",
     "RunLogger",
-    "SeedSequenceFactory",
-    "seed_everything",
-    "spawn_generators",
     "CheckpointFormatError",
     "QUANTIZED_CHECKPOINT_VERSION",
     "QuantizedCheckpoint",
@@ -35,8 +29,6 @@ __all__ = [
     "save_checkpoint",
     "save_quantized_checkpoint",
     "RollingHistogram",
-    "StopwatchRegistry",
-    "Timer",
     "best_mean_seconds",
     "percentile",
 ]

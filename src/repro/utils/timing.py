@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = [
-    "Timer",
-    "StopwatchRegistry",
     "best_mean_seconds",
     "percentile",
     "RollingHistogram",
@@ -156,49 +152,3 @@ def best_mean_seconds(fn, repeats: int = 3, min_seconds: float = 0.25) -> float:
             iters += 1
         best = min(best, (time.perf_counter() - start) / iters)
     return best
-
-
-class Timer:
-    """Context-manager stopwatch: ``with Timer() as t: ...; t.elapsed``."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-
-@dataclass
-class StopwatchRegistry:
-    """Accumulates named timing sections across a run (e.g. ILP vs training)."""
-
-    totals: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.totals[name] = self.totals.get(name, 0.0) + elapsed
-            self.counts[name] = self.counts.get(name, 0) + 1
-
-    def mean(self, name: str) -> float:
-        if self.counts.get(name, 0) == 0:
-            return 0.0
-        return self.totals[name] / self.counts[name]
-
-    def report(self) -> str:
-        lines = ["section            total(s)   calls   mean(s)"]
-        for name in sorted(self.totals):
-            lines.append(
-                f"{name:<18} {self.totals[name]:9.3f} {self.counts[name]:7d} {self.mean(name):9.4f}"
-            )
-        return "\n".join(lines)

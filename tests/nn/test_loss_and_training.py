@@ -1,4 +1,4 @@
-"""Loss wrappers, accuracy metrics and small end-to-end training convergence."""
+"""Loss wrapper, accuracy metric and small end-to-end training convergence."""
 
 from __future__ import annotations
 
@@ -9,13 +9,11 @@ from repro.nn import (
     CrossEntropyLoss,
     Flatten,
     Linear,
-    MSELoss,
     ReLU,
     SGD,
     Sequential,
     Tensor,
     accuracy,
-    topk_accuracy,
 )
 
 
@@ -29,30 +27,9 @@ class TestLossWrappers:
         with pytest.raises(ValueError):
             CrossEntropyLoss(label_smoothing=1.5)
 
-    def test_mse_loss_value_and_gradient(self):
-        prediction = Tensor(np.array([[1.0, 2.0]], dtype=np.float32), requires_grad=True)
-        loss = MSELoss()(prediction, np.array([[0.0, 0.0]]))
-        assert loss.item() == pytest.approx(2.5)
-        loss.backward()
-        np.testing.assert_allclose(prediction.grad, [[1.0, 2.0]], rtol=1e-5)
-
     def test_accuracy_metric(self):
         logits = Tensor(np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]], dtype=np.float32))
         assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
-
-    def test_topk_accuracy(self):
-        logits = Tensor(
-            np.array([[0.1, 0.5, 0.4], [0.9, 0.05, 0.05]], dtype=np.float32)
-        )
-        targets = np.array([2, 0])
-        result = topk_accuracy(logits, targets, ks=(1, 2))
-        assert result[1] == pytest.approx(0.5)
-        assert result[2] == pytest.approx(1.0)
-
-    def test_topk_caps_k_at_num_classes(self):
-        logits = Tensor(np.array([[0.6, 0.4]], dtype=np.float32))
-        result = topk_accuracy(logits, np.array([1]), ks=(5,))
-        assert result[5] == pytest.approx(1.0)
 
 
 class TestTrainingConvergence:

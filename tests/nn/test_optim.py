@@ -1,19 +1,11 @@
-"""Optimizers and learning-rate schedules."""
+"""The SGD optimizer and the multi-step learning-rate schedule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Adam,
-    ConstantLR,
-    CosineAnnealingLR,
-    MultiStepLR,
-    SGD,
-    StepLR,
-    Tensor,
-)
+from repro.nn import MultiStepLR, SGD, Tensor
 
 
 def make_param(value=1.0, size=3):
@@ -87,44 +79,7 @@ class TestSGD:
             SGD([make_param()], lr=0.1, nesterov=True)
 
 
-class TestAdam:
-    def test_first_step_magnitude_is_lr(self):
-        param = make_param(0.0)
-        optimizer = Adam([param], lr=0.01)
-        param.grad = np.full(3, 10.0, dtype=np.float32)
-        optimizer.step()
-        # Bias-corrected first step equals -lr * sign(grad) (up to eps).
-        np.testing.assert_allclose(param.data, -np.full(3, 0.01), rtol=1e-3)
-
-    def test_converges_on_quadratic(self):
-        param = make_param(5.0, size=1)
-        optimizer = Adam([param], lr=0.5)
-        for _ in range(200):
-            optimizer.zero_grad()
-            param.grad = 2.0 * param.data  # d/dx x^2
-            optimizer.step()
-        assert abs(float(param.data[0])) < 1e-2
-
-    def test_weight_decay_applied(self):
-        param = make_param(1.0)
-        optimizer = Adam([param], lr=0.1, weight_decay=1.0)
-        param.grad = np.zeros(3, dtype=np.float32)
-        optimizer.step()
-        assert np.all(param.data < 1.0)
-
-
 class TestSchedules:
-    def test_constant(self):
-        optimizer = SGD([make_param()], lr=0.3)
-        schedule = ConstantLR(optimizer)
-        assert schedule.step(10) == pytest.approx(0.3)
-
-    def test_step_lr(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        schedule = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = [schedule.step(epoch) for epoch in range(5)]
-        np.testing.assert_allclose(lrs, [1.0, 1.0, 0.1, 0.1, 0.01], rtol=1e-6)
-
     def test_multistep_matches_paper_recipe(self):
         optimizer = SGD([make_param()], lr=0.1)
         schedule = MultiStepLR(optimizer, milestones=(80, 140), gamma=0.1)
@@ -135,24 +90,10 @@ class TestSchedules:
         assert schedule.step(140) == pytest.approx(0.001)
         assert optimizer.lr == pytest.approx(0.001)
 
-    def test_cosine_endpoints(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        schedule = CosineAnnealingLR(optimizer, t_max=10, eta_min=0.0)
-        assert schedule.step(0) == pytest.approx(1.0)
-        assert schedule.step(10) == pytest.approx(0.0, abs=1e-8)
-        assert 0.0 < schedule.step(5) < 1.0
-
     def test_step_without_epoch_advances(self):
         optimizer = SGD([make_param()], lr=1.0)
-        schedule = StepLR(optimizer, step_size=1, gamma=0.5)
+        schedule = MultiStepLR(optimizer, milestones=(1,), gamma=0.5)
         first = schedule.step()
         second = schedule.step()
         assert first == pytest.approx(1.0)
         assert second == pytest.approx(0.5)
-
-    def test_invalid_schedules(self):
-        optimizer = SGD([make_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(optimizer, t_max=0)

@@ -1,11 +1,9 @@
-"""Per-channel quantization and integer-domain inference."""
+"""Integer-domain inference: the integer kernels and the export session."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.models import simple_cnn
 from repro.nn import Tensor
@@ -15,72 +13,9 @@ from repro.quant import (
     QLinear,
     export_model,
     integer_conv2d,
-    integer_levels,
     integer_linear,
-    per_channel_scales,
-    per_tensor_vs_per_channel_error,
-    quantize_per_channel_array,
-    quantize_per_channel_ste,
 )
 from repro.quant.integer_inference import export_layer
-from repro.quant.quantizers import symmetric_scale
-
-
-class TestPerChannelQuantizer:
-    def test_scales_per_output_channel(self, rng):
-        weights = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        weights[2] *= 10.0  # one channel with a much larger range
-        scales = per_channel_scales(weights, 4)
-        assert scales.shape == (4,)
-        assert scales[2] > 5 * scales[0]
-
-    def test_codes_within_range_per_channel(self, rng):
-        weights = rng.standard_normal((5, 8)).astype(np.float32) * 3.0
-        result = quantize_per_channel_array(weights, 3)
-        low, high = integer_levels(3)
-        assert result.codes.min() >= low and result.codes.max() <= high
-        # Dequantized values reconstruct codes * per-channel scale.
-        np.testing.assert_allclose(
-            result.quantized, result.codes * result.scales[:, None], rtol=1e-6
-        )
-
-    def test_requires_two_dimensions(self):
-        with pytest.raises(ValueError):
-            quantize_per_channel_array(np.zeros(5, dtype=np.float32), 4)
-
-    def test_zero_channel_handled(self):
-        weights = np.zeros((2, 4), dtype=np.float32)
-        weights[1] = 1.0
-        result = quantize_per_channel_array(weights, 4)
-        assert np.isfinite(result.quantized).all()
-
-    def test_per_channel_error_never_worse_than_per_tensor(self, rng):
-        weights = rng.standard_normal((8, 16)).astype(np.float32)
-        weights[0] *= 20.0  # outlier channel makes the per-tensor scale coarse
-        tensor_mse, channel_mse = per_tensor_vs_per_channel_error(weights, 4)
-        assert channel_mse <= tensor_mse + 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), bits=st.integers(2, 8))
-    def test_property_error_ordering(self, seed, bits):
-        # Per-channel quantization uses a grid at least as fine as per-tensor
-        # (scales_c <= scale_t), but round-to-nearest is not monotonic in the
-        # step size, so on homogeneous data the per-channel MSE can lose by
-        # rounding luck (worst observed ratio over this strategy space: 1.26x).
-        # The guaranteed properties are the scale ordering and a bounded loss;
-        # the structured-outlier case above asserts the strict win.
-        weights = np.random.default_rng(seed).standard_normal((4, 10)).astype(np.float32)
-        tensor_mse, channel_mse = per_tensor_vs_per_channel_error(weights, bits)
-        tensor_scale = symmetric_scale(weights, bits)
-        assert per_channel_scales(weights, bits).max() <= tensor_scale * (1 + 1e-6)
-        assert channel_mse <= 1.5 * tensor_mse + 1e-12
-
-    def test_ste_gradient_passthrough(self, rng):
-        shadow = Tensor(rng.standard_normal((3, 5)).astype(np.float32), requires_grad=True)
-        quantized, info = quantize_per_channel_ste(shadow, 4)
-        (quantized * 3.0).sum().backward()
-        np.testing.assert_allclose(shadow.grad, np.full((3, 5), 3.0))
-        assert info.scales.shape == (3,)
 
 
 class TestIntegerKernels:

@@ -1,5 +1,7 @@
 """Offline policy replay: recorded traces through the pure decision cores.
 
+Test support for ``test_chaos.py``; nothing in the library imports it.
+
 A chaos run is expensive (processes, sockets, seconds); its *policy*
 behaviour should not be.  Everything the serving stack decides — when to
 scale, when to darken a shard, what to shed — routes through pure,
@@ -19,21 +21,40 @@ with **no process spawned and no wall-clock waited**:
 
 Determinism is the point: same trace + same policy = same output, byte for
 byte, in microseconds.  When a chaos bench flags a policy misbehaviour, the
-replay is the debugger.
+replay is the debugger.  :func:`save_trace`/:func:`load_trace` keep a trace
+as JSON so a failing run's request stream can be attached to a bug report.
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cluster.autoscaler import AutoscalerPolicy, decide
-from ..cluster.breaker import BreakerPolicy, CircuitBreaker
-from ..frontend.queuing import Request, RequestQueue, ServerOverloaded
+from repro.serve.cluster.autoscaler import AutoscalerPolicy, decide
+from repro.serve.cluster.breaker import BreakerPolicy, CircuitBreaker
+from repro.serve.frontend.queuing import Request, RequestQueue, ServerOverloaded
 
-__all__ = ["replay_autoscaler", "replay_breaker", "replay_shedding"]
+__all__ = [
+    "replay_autoscaler",
+    "replay_breaker",
+    "replay_shedding",
+    "save_trace",
+    "load_trace",
+]
+
+
+def save_trace(path: str, trace: List[Dict[str, object]]) -> str:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(trace, handle, separators=(",", ":"))
+    return path
+
+
+def load_trace(path: str) -> List[Dict[str, object]]:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def replay_autoscaler(

@@ -380,6 +380,32 @@ class UntraceableNet(QuantizableModel):
         return self.classifier(self.pool(ratio))
 
 
+class FlattenAfterDivisionNet(QuantizableModel):
+    """``fc((conv(x) / 2.0).flatten(1))``: a division between a traced value
+    and the flatten the compiler infers.
+
+    The flattened tensor is unknown to the value table, and the only glue the
+    compiler infers is a flatten of the last traced value; skipping the
+    division would compile a plan that disagrees with the model, so the
+    trace must be refused, naming the division.
+    """
+
+    def __init__(self, channels: int = 4, image_size: int = 4, num_classes: int = 3) -> None:
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.input_size = image_size
+        self.input_channels = 3
+        self.conv = QConv2d(3, channels, 3, padding=1, bias=False, bits=4, rng=rng)
+        self.register_qlayer("conv", self.conv)
+        self.classifier = QLinear(
+            channels * image_size * image_size, num_classes, bits=8, pinned=True, rng=rng
+        )
+        self.register_qlayer("classifier", self.classifier, pinned=True, pinned_bits=8)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.classifier((self.conv(x) / 2.0).flatten(1))
+
+
 class MendableNet(UntraceableNet):
     """Starts with the division join; flip ``mended`` to use a supported one.
 

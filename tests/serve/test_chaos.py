@@ -5,12 +5,11 @@ Three layers, cheapest first:
 1. Pure determinism — same spec + same seed must yield byte-identical
    traces, fault sequences, and replay outputs.  This is what makes a chaos
    failure attachable to a bug report.
-2. Policy cores offline — the breaker state machine, the retry backoff, and
-   the shedding replay run with fake clocks and zero processes.
+2. Policy cores offline — the breaker state machine and the shedding
+   replay run with fake clocks and zero processes.
 3. Live cluster integration — a mini kill-storm with request retries on
-   must lose **zero** requests, mid-flight deadline expiry must surface the
-   typed error over the wire, and the TCP edge must shrug off malformed and
-   wedged clients without disturbing well-behaved ones.
+   must lose **zero** requests, and mid-flight deadline expiry must surface
+   the typed error over the wire.
 """
 
 from __future__ import annotations
@@ -32,27 +31,19 @@ from repro.serve.chaos import (
     PoissonArrivals,
     TrafficSpec,
     generate_trace,
-    load_trace,
     record_inputs,
+    run_trace,
+)
+from repro.serve.cluster import BreakerPolicy, CircuitBreaker, ClusterServer
+from repro.utils import save_quantized_checkpoint
+
+from .chaos_replay import (
+    load_trace,
     replay_autoscaler,
     replay_breaker,
     replay_shedding,
-    run_trace,
     save_trace,
-    send_malformed_frame,
 )
-from repro.serve.cluster import (
-    BreakerPolicy,
-    CircuitBreaker,
-    ClusterClient,
-    ClusterServer,
-    RetryPolicy,
-    TcpFrontend,
-)
-from repro.serve.cluster.protocol import ERROR_CODES, encode_error, exception_from_error
-from repro.serve.cluster.transport import RETRYABLE_ERRORS
-from repro.utils import save_quantized_checkpoint
-
 from .cluster_models import build_parity_model
 
 PARITY_SEED = 5
@@ -297,43 +288,8 @@ class TestBreakerStateMachine:
         assert breaker.allow() is False  # cooldown restarted at t=1.5
 
 
-class TestRetryPolicy:
-    def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(base_backoff_s=0.1, max_backoff_s=0.5, jitter=0.0)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
-        assert policy.backoff_s(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff_s(10) == pytest.approx(0.5)
-
-    def test_jitter_stays_inside_the_band(self):
-        policy = RetryPolicy(base_backoff_s=0.1, max_backoff_s=2.0, jitter=0.5)
-        rng = random.Random(0)
-        for attempt in (1, 2, 3):
-            base = min(2.0, 0.1 * 2 ** (attempt - 1))
-            for _ in range(50):
-                value = policy.backoff_s(attempt, rng)
-                assert 0.5 * base <= value <= 1.5 * base
-
-    def test_validation_and_retryable_set(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-        # Only provably-unanswered failures are retryable; typed application
-        # errors mean the request was answered and must propagate.
-        assert TimeoutError in RETRYABLE_ERRORS
-        assert DeadlineExceeded not in RETRYABLE_ERRORS
-
-    def test_deadline_error_roundtrips_the_wire_typed(self):
-        assert ERROR_CODES["deadline"] is DeadlineExceeded
-        error = exception_from_error(encode_error(DeadlineExceeded("too late")))
-        assert isinstance(error, DeadlineExceeded)
-        assert "too late" in str(error)
-
-
 # --------------------------------------------------------------------------- #
-# live cluster: survivability under storms, deadlines over the wire, TCP edge
+# live cluster: survivability under storms, deadlines over the wire
 # --------------------------------------------------------------------------- #
 class TestClusterChaos:
     def test_kill_storm_with_retries_loses_nothing(self, parity_checkpoint):
@@ -411,61 +367,3 @@ class TestClusterChaos:
         # max_batch_size=1 serves each record's batch exactly as submitted,
         # so the offline reference must match bitwise.
         assert all(o.bitwise_ok for o in completed)
-
-    def test_malformed_frames_are_dropped_not_fatal(self, parity_checkpoint):
-        rng = np.random.default_rng(23)
-        sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
-        with ClusterServer(max_batch_size=4, max_delay_ms=0.0) as cluster:
-            cluster.register("m", parity_checkpoint, shards=1)
-            frontend = TcpFrontend(cluster).start()
-            host, port = frontend.address
-            try:
-                for kind in ("bad_magic", "bad_version", "truncated"):
-                    assert send_malformed_frame(host, port, kind) is True, kind
-                # The frontend (and the cluster behind it) still serves.
-                with ClusterClient(host, port) as client:
-                    result = client.predict("m", sample)
-                assert result.shape[-1] == 4
-            finally:
-                frontend.stop()
-
-    def test_slow_reader_still_gets_a_full_frame(self, parity_checkpoint):
-        from repro.serve.chaos import SlowReader
-        from repro.serve.cluster.protocol import FrameKind, decode_header, HEADER
-
-        rng = np.random.default_rng(25)
-        sample = rng.standard_normal((1, *PARITY_SHAPE)).astype(np.float32)
-        with ClusterServer(max_batch_size=4, max_delay_ms=0.0) as cluster:
-            cluster.register("m", parity_checkpoint, shards=1)
-            frontend = TcpFrontend(cluster).start()
-            host, port = frontend.address
-            reader = SlowReader(host, port, "m", sample, byte_delay_s=0.0005)
-            try:
-                raw = reader.run(timeout_s=60.0)
-                kind, _request_id, payload_len = decode_header(raw[: HEADER.size])
-                assert kind == FrameKind.RESPONSE
-                assert len(raw) == HEADER.size + payload_len
-            finally:
-                reader.close()
-                frontend.stop()
-
-    def test_wedged_client_does_not_block_others(self, parity_checkpoint):
-        from repro.serve.chaos import open_wedged_connection
-
-        rng = np.random.default_rng(24)
-        sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
-        with ClusterServer(max_batch_size=4, max_delay_ms=0.0) as cluster:
-            cluster.register("m", parity_checkpoint, shards=1)
-            frontend = TcpFrontend(cluster).start()
-            host, port = frontend.address
-            wedged = open_wedged_connection(host, port)
-            try:
-                with ClusterClient(host, port) as client:
-                    start = time.monotonic()
-                    result = client.predict("m", sample)
-                    elapsed = time.monotonic() - start
-                assert result.shape[-1] == 4
-                assert elapsed < 30.0
-            finally:
-                wedged.close()
-                frontend.stop()

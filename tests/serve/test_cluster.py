@@ -1,4 +1,4 @@
-"""Cluster serving: worker processes, parity, crash recovery, scaling, TCP.
+"""Cluster serving: worker processes, parity, crash recovery, scaling.
 
 These tests spawn real worker processes (``multiprocessing`` spawn), so they
 share module-scoped checkpoints and keep models tiny.  The parity contract is
@@ -17,13 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import InferenceEngine, ServerClosed
+from repro.serve import InferenceEngine
 from repro.serve.cluster import (
     Autoscaler,
     AutoscalerPolicy,
-    ClusterClient,
     ClusterServer,
-    TcpFrontend,
     WorkerBootError,
     WorkerCrashed,
     WorkerOptions,
@@ -356,50 +354,6 @@ class TestAutoscalerLoop:
                 assert _wait_until(lambda: cluster.num_shards("slow") == 1, timeout=30.0)
                 assert any(d["target"] == 2 for d in autoscaler.decisions)
                 assert any(d["target"] == 1 for d in autoscaler.decisions)
-
-
-# --------------------------------------------------------------------------- #
-# the TCP edge
-# --------------------------------------------------------------------------- #
-class TestTcpFrontend:
-    def test_external_client_round_trip(self, parity_model, parity_checkpoint):
-        engine = InferenceEngine(parity_model)
-        rng = np.random.default_rng(8)
-        sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
-        small = rng.standard_normal((2, *PARITY_SHAPE)).astype(np.float32)
-        with ClusterServer(max_batch_size=8, max_delay_ms=0.0) as cluster:
-            cluster.register("m", parity_checkpoint, shards=1)
-            with TcpFrontend(cluster) as frontend:
-                host, port = frontend.address
-                with ClusterClient(host, port) as client:
-                    assert client.ping()
-                    got = client.predict("m", sample)
-                    np.testing.assert_array_equal(
-                        got, engine.predict_logits(sample[np.newaxis])[0]
-                    )
-                    got_batch = client.predict("m", small)
-                    np.testing.assert_array_equal(got_batch, engine.predict_logits(small))
-                    with pytest.raises(KeyError, match="no variant"):
-                        client.predict("nope", sample)
-                    snapshot = client.metrics()
-                    assert snapshot["cluster"]["requests_completed"] >= 2
-
-    def test_client_survives_cluster_stop(self, parity_checkpoint):
-        rng = np.random.default_rng(9)
-        sample = rng.standard_normal(PARITY_SHAPE).astype(np.float32)
-        cluster = ClusterServer(max_batch_size=8, max_delay_ms=0.0).start()
-        cluster.register("m", parity_checkpoint, shards=1)
-        frontend = TcpFrontend(cluster).start()
-        host, port = frontend.address
-        client = ClusterClient(host, port)
-        try:
-            client.predict("m", sample)
-            cluster.stop()
-            with pytest.raises(ServerClosed):
-                client.predict("m", sample)
-        finally:
-            client.close()
-            frontend.stop()
 
 
 # --------------------------------------------------------------------------- #

@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import ServerClosed, ServerOverloaded
+from repro.serve import DeadlineExceeded, ServerClosed, ServerOverloaded
 from repro.serve.cluster import ChannelClosed, FrameChannel, WorkerCrashed
 from repro.serve.cluster.protocol import (
+    ERROR_CODES,
     HEADER,
     MAGIC,
     MAX_PAYLOAD_BYTES,
@@ -221,6 +222,12 @@ class TestTypedErrors:
             pass
 
         assert error_code_for(CustomOverload("x")) == "overloaded"
+
+    def test_deadline_error_roundtrips_the_wire_typed(self):
+        assert ERROR_CODES["deadline"] is DeadlineExceeded
+        error = exception_from_error(encode_error(DeadlineExceeded("too late")))
+        assert isinstance(error, DeadlineExceeded)
+        assert "too late" in str(error)
 
 
 # --------------------------------------------------------------------------- #

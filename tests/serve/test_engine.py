@@ -12,7 +12,7 @@ from repro.nn.tensor import no_grad
 from repro.quant import IntegerInferenceSession
 from repro.serve import InferenceEngine, InferencePlan, PlanTraceError
 
-from .parity import MendableNet, UntraceableNet
+from .parity import FlattenAfterDivisionNet, MendableNet, UntraceableNet
 
 
 def _warmed_model(builder, shape, rng, **kwargs):
@@ -318,6 +318,14 @@ class TestRefusal:
         model = _warmed_model(lambda: UntraceableNet(), (3, 8, 8), rng)
         with pytest.raises(PlanTraceError, match="division"):
             InferenceEngine(model).predict_logits(np.empty((0, 3, 8, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("mode", ["float", "integer"])
+    def test_division_before_inferred_flatten_is_refused(self, rng, mode):
+        """Glue arithmetic between a traced value and a flatten is not skipped."""
+        model = _warmed_model(lambda: FlattenAfterDivisionNet(), (3, 4, 4), rng)
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        with pytest.raises(PlanTraceError, match="division"):
+            InferenceEngine(model, mode=mode).predict_logits(x)
 
 
 class TestPlanStructure:

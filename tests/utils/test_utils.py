@@ -1,4 +1,4 @@
-"""Utilities: seeding, logging, timing."""
+"""Utilities: percentiles, rolling histograms, logging."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ import pytest
 from repro.utils import (
     RollingHistogram,
     RunLogger,
-    SeedSequenceFactory,
-    StopwatchRegistry,
-    Timer,
     percentile,
-    seed_everything,
-    spawn_generators,
 )
 
 
@@ -90,30 +85,6 @@ class TestRollingHistogram:
         assert b.count == 1 and b.max() == 5.0
 
 
-class TestRng:
-    def test_seed_everything_returns_generator(self):
-        gen = seed_everything(123)
-        assert isinstance(gen, np.random.Generator)
-
-    def test_spawn_generators_are_independent_and_reproducible(self):
-        first = spawn_generators(7, ["model", "data"])
-        second = spawn_generators(7, ["model", "data"])
-        assert set(first) == {"model", "data"}
-        np.testing.assert_array_equal(
-            first["model"].standard_normal(4), second["model"].standard_normal(4)
-        )
-        assert not np.array_equal(
-            spawn_generators(7, ["model"])["model"].standard_normal(4),
-            spawn_generators(8, ["model"])["model"].standard_normal(4),
-        )
-
-    def test_seed_factory_issues_distinct_seeds(self):
-        factory = SeedSequenceFactory(0)
-        seeds = [factory.next_seed() for _ in range(5)]
-        assert len(set(seeds)) == 5
-        assert factory.issued == 5
-
-
 class TestLogger:
     def test_messages_and_metrics_recorded(self):
         logger = RunLogger("test")
@@ -132,21 +103,3 @@ class TestLogger:
         logger = RunLogger("mirror", stream=stream)
         logger("message one")
         assert "message one" in stream.getvalue()
-
-
-class TestTiming:
-    def test_timer_measures_elapsed(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
-
-    def test_stopwatch_registry_accumulates(self):
-        registry = StopwatchRegistry()
-        for _ in range(3):
-            with registry.section("work"):
-                sum(range(100))
-        assert registry.counts["work"] == 3
-        assert registry.totals["work"] >= 0.0
-        assert registry.mean("work") == pytest.approx(registry.totals["work"] / 3)
-        assert registry.mean("missing") == 0.0
-        assert "work" in registry.report()
