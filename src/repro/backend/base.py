@@ -25,7 +25,7 @@ numbers they return.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,11 +39,35 @@ __all__ = [
 ]
 
 IntPair = Tuple[int, int]
+#: The ``(callable, args)`` numpy calls a compiled plan replays, and a bound
+#: kernel: its output array and the calls that fill it (see
+#: :meth:`ArrayBackend.bind_int_conv2d`).
+Calls = Tuple[Tuple[Callable, tuple], ...]
+Bound = Tuple[np.ndarray, Calls]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling window."""
     return (size + 2 * padding - kernel) // stride + 1
+
+
+def _output_hw(shape, kernel: IntPair, stride: IntPair, padding: IntPair) -> IntPair:
+    return (
+        conv_output_size(shape[2], kernel[0], stride[0], padding[0]),
+        conv_output_size(shape[3], kernel[1], stride[1], padding[1]),
+    )
+
+
+def _copy_result(out: np.ndarray, kernel: Callable, args: tuple) -> None:
+    np.copyto(out, kernel(*args))
+
+
+def _bind_per_call(workspace, key, shape, dtype, kernel: Callable, *args) -> Bound:
+    """One call that runs a per-call ``kernel`` and copies its result into
+    an arena buffer."""
+    dtype = np.dtype(dtype)
+    out = workspace.buffer((key, "acc", shape, dtype.str), shape, dtype)
+    return out, ((_copy_result, (out, kernel, args)),)
 
 
 class ArrayBackend:
@@ -239,8 +263,6 @@ class ArrayBackend:
         padding: IntPair,
         scale=None,
         bias=None,
-        workspace=None,
-        key=None,
     ) -> np.ndarray:
         """Convolution of an (N, C, H, W) input with a pre-packed weight matrix.
 
@@ -253,13 +275,8 @@ class ArrayBackend:
 
         The default is the exactness reference: the accumulation runs in
         float64 so integer code products up to 16 bits are exact.  Fast
-        backends override this with float32 BLAS.
-
-        ``workspace``/``key`` are an optional preallocation hint: a compiled
-        plan passes its :class:`~repro.serve.workspace.PlanWorkspace` and the
-        calling step's key so a fast backend can serve every scratch and
-        output buffer from the arena.  The reference implementations ignore
-        both — preallocation must never change the numbers.
+        backends override this with float32 BLAS.  Compiled plans call the
+        bind-time form, :meth:`bind_int_conv2d`, instead.
         """
         n = x.shape[0]
         oc = w_mat.shape[0]
@@ -281,8 +298,6 @@ class ArrayBackend:
         padding: IntPair,
         scale=None,
         bias=None,
-        workspace=None,
-        key=None,
     ) -> np.ndarray:
         """Channel-major variant of :meth:`int_conv2d`: (C, N, H, W) in and
         (oc, N, oh, ow) out.
@@ -297,57 +312,22 @@ class ArrayBackend:
         out = self.int_conv2d(x, w_mat, kernel, stride, padding, scale=scale, bias=bias)
         return np.ascontiguousarray(np.moveaxis(out, 1, 0))
 
-    def residual_add(
-        self,
-        acc: np.ndarray,
-        identity: np.ndarray,
-        inplace: bool = False,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Residual join: elementwise ``acc + identity`` for compiled plans.
+    def residual_add(self, acc: np.ndarray, identity: np.ndarray) -> np.ndarray:
+        """Residual join ``acc + identity`` of a reference plan.
 
         ``identity`` may be a transposed (layout-permuted) view; the result
-        is bitwise-identical to ``acc + identity`` either way.  When
-        ``inplace`` is set the caller guarantees ``acc`` is a fresh,
-        exclusively-owned buffer, so backends may accumulate into it and
-        avoid the allocation on the serving hot path.  ``out`` offers a
-        preallocated destination for the non-inplace case (same elementwise
-        ufunc, so still bitwise-identical).
+        is bitwise-identical either way.  Optimized plans bind the same
+        ``np.add`` into their arena instead.
         """
-        if inplace and acc.flags.writeable and acc.shape == identity.shape:
-            np.add(acc, identity, out=acc)
-            return acc
-        if out is not None and out.shape == acc.shape and acc.shape == identity.shape:
-            np.add(acc, identity, out=out)
-            return out
         return acc + identity
 
-    def residual_mul(
-        self,
-        acc: np.ndarray,
-        gate: np.ndarray,
-        inplace: bool = False,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Gating join: elementwise ``acc * gate`` for compiled plans.
-
-        The multiplicative sibling of :meth:`residual_add` — same in-place
-        and preallocated-``out`` contract, same bitwise guarantee (IEEE
-        multiplication is commutative, so a layout-permuted ``gate`` view
-        changes nothing).  This is the kernel behind attention-style
-        ``value * sigmoid(gate)`` joins.
-        """
-        if inplace and acc.flags.writeable and acc.shape == gate.shape:
-            np.multiply(acc, gate, out=acc)
-            return acc
-        if out is not None and out.shape == acc.shape and acc.shape == gate.shape:
-            np.multiply(acc, gate, out=out)
-            return out
+    def residual_mul(self, acc: np.ndarray, gate: np.ndarray) -> np.ndarray:
+        """Gating join ``acc * gate`` of a reference plan — the
+        multiplicative sibling of :meth:`residual_add` behind
+        attention-style ``value * sigmoid(gate)`` joins."""
         return acc * gate
 
-    def int_linear(
-        self, x: np.ndarray, w: np.ndarray, scale=None, bias=None, workspace=None, key=None
-    ) -> np.ndarray:
+    def int_linear(self, x: np.ndarray, w: np.ndarray, scale=None, bias=None) -> np.ndarray:
         """Fully connected product ``x @ w.T`` with post-accumulation rescale.
 
         ``w`` is ``(out_features, in_features)`` — integer codes or already
@@ -383,9 +363,7 @@ class ArrayBackend:
         """Scatter an average-pool gradient uniformly over each window."""
         raise NotImplementedError
 
-    def pool_max(
-        self, x: np.ndarray, kernel: IntPair, stride: IntPair, workspace=None, key=None
-    ) -> np.ndarray:
+    def pool_max(self, x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
         """Forward-only max pooling over the two trailing axes.
 
         Unlike :meth:`pool_windows` (which the training path needs for its
@@ -393,14 +371,11 @@ class ArrayBackend:
         backends may reduce with strided slice maxima instead of
         materialising a 6-D window tensor.  The two leading axes are treated
         as batch, so it serves both the (N, C, H, W) and channel-major
-        layouts.  ``workspace``/``key`` follow the :meth:`int_conv2d`
-        preallocation contract (ignored by the reference).
+        layouts.
         """
         return self.pool_windows(x, kernel, stride).max(axis=(-1, -2))
 
-    def pool_avg(
-        self, x: np.ndarray, kernel: IntPair, stride: IntPair, workspace=None, key=None
-    ) -> np.ndarray:
+    def pool_avg(self, x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
         """Forward-only average pooling over the two trailing axes."""
         return self.pool_windows(x, kernel, stride).mean(axis=(-1, -2))
 
@@ -428,6 +403,65 @@ class ArrayBackend:
         cols = j_idx * sw + kj
         self.add_at(grad_input, (n_idx, c_idx, rows, cols), grad)
         return grad_input
+
+    # ------------------------------------------------------------------ #
+    # bind-time kernels (compiled plans)
+    # ------------------------------------------------------------------ #
+    # A compiled plan binds each step once per input shape.  A bind-time
+    # kernel works out its geometry, arena buffers and operand views up
+    # front and returns ``(out, calls)``: the output array and the
+    # ``(callable, args)`` numpy calls that fill it.  The plan replays the
+    # calls on every later run at that shape, so none of this runs on the
+    # hot path.  ``x`` must be the very array the calls read at run time (an
+    # arena buffer or a view of one); ``workspace``/``key`` are the plan's
+    # :class:`~repro.serve.workspace.PlanWorkspace` and the step's key.  The
+    # defaults wrap the per-call kernel as one call that writes into an
+    # arena buffer, so a backend that overrides none of them replays its
+    # per-call numbers exactly.
+    def bound_channel_operands(self, acc: np.ndarray, operands) -> Tuple[np.ndarray, ...]:
+        """The per-channel ``operands`` (each broadcastable to ``acc``) a
+        bound call should apply to ``acc`` — possibly re-laid out for speed,
+        never with other values."""
+        return tuple(operands)
+
+    def bind_int_conv2d(
+        self, x, w_mat, kernel: IntPair, stride: IntPair, padding: IntPair,
+        scale, bias, workspace, key,
+    ) -> Bound:
+        """Bind-time :meth:`int_conv2d` (batch-major, no layout reroute)."""
+        oh, ow = _output_hw(x.shape, kernel, stride, padding)
+        shape = (x.shape[0], w_mat.shape[0], oh, ow)
+        return _bind_per_call(
+            workspace, key, shape, np.float32,
+            self.int_conv2d, x, w_mat, kernel, stride, padding, scale, bias,
+        )
+
+    def bind_int_conv2d_cm(
+        self, x_cm, w_mat, kernel: IntPair, stride: IntPair, padding: IntPair,
+        scale, bias, workspace, key,
+    ) -> Bound:
+        """Bind-time :meth:`int_conv2d_cm`."""
+        oh, ow = _output_hw(x_cm.shape, kernel, stride, padding)
+        shape = (w_mat.shape[0], x_cm.shape[1], oh, ow)
+        return _bind_per_call(
+            workspace, key, shape, np.float32,
+            self.int_conv2d_cm, x_cm, w_mat, kernel, stride, padding, scale, bias,
+        )
+
+    def bind_int_linear(self, x, w, scale, bias, workspace, key) -> Bound:
+        """Bind-time :meth:`int_linear`."""
+        shape = x.shape[:-1] + (w.shape[0],)
+        return _bind_per_call(workspace, key, shape, np.float32, self.int_linear, x, w, scale, bias)
+
+    def bind_pool_max(self, x, kernel: IntPair, stride: IntPair, workspace, key) -> Bound:
+        """Bind-time :meth:`pool_max`."""
+        shape = x.shape[:2] + _output_hw(x.shape, kernel, stride, (0, 0))
+        return _bind_per_call(workspace, key, shape, x.dtype, self.pool_max, x, kernel, stride)
+
+    def bind_pool_avg(self, x, kernel: IntPair, stride: IntPair, workspace, key) -> Bound:
+        """Bind-time :meth:`pool_avg`."""
+        shape = x.shape[:2] + _output_hw(x.shape, kernel, stride, (0, 0))
+        return _bind_per_call(workspace, key, shape, x.dtype, self.pool_avg, x, kernel, stride)
 
     # ------------------------------------------------------------------ #
     # normalization statistics

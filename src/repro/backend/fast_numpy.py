@@ -9,15 +9,16 @@ Five ideas buy the speedup over the reference backend:
   output position or a padded copy of the input.  Padding positions are
   never written, so the zero border is an invariant of the zeroed column
   buffer.  Pooling windows stay a zero-copy ``as_strided`` view.
-* **One chunked column loop** — :meth:`_conv_chunks` fills a few samples'
-  columns into one chunk-sized buffer, zeroed once, and hands each chunk
-  to a GEMM while it is cache-resident.  Compiled plans' :meth:`int_conv2d`
-  walks it on arena buffers; the training kernels :meth:`conv2d_forward`
-  and :meth:`conv2d_grad_weight_from_input` walk it on thread-local
-  scratch, so training never builds (or keeps in its autograd graph) the
-  full ``(N, F, P)`` column tensor: the weight gradient re-fills each
-  chunk from the layer input.  Pointwise convs skip the fill.  Both
-  training kernels give the bits of their ``im2col`` compositions.
+* **One chunked column schedule** — a few samples' columns are filled into
+  one chunk-sized buffer, zeroed once, and each chunk goes to a GEMM while
+  it is cache-resident.  The training kernels :meth:`conv2d_forward` and
+  :meth:`conv2d_grad_weight_from_input` walk :meth:`_conv_chunks` on
+  thread-local scratch, so training never builds (or keeps in its autograd
+  graph) the full ``(N, F, P)`` column tensor: the weight gradient re-fills
+  each chunk from the layer input.  Compiled plans bind the same schedule
+  once per batch shape (:meth:`bind_int_conv2d`).  Pointwise convs skip the
+  fill.  Both training kernels give the bits of their ``im2col``
+  compositions.
 * **Col2im-free input gradient** — :meth:`conv2d_grad_input` never builds
   the full ``(N, F, P)`` input-column gradient.  For stride-1 convs it runs
   the GEMM a few samples at a time into an offset-major, zero-extended
@@ -28,10 +29,13 @@ Five ideas buy the speedup over the reference backend:
   ``col2im(conv2d_grad_cols(...))``.
 * **BLAS dispatch** — the conv forward/backward contractions are expressed
   as (batched) ``matmul`` calls so they hit BLAS instead of ``einsum``'s
-  generic C loop; the serving kernels additionally accept a
-  :class:`~repro.serve.workspace.PlanWorkspace` so accumulators land in
-  preallocated arena buffers (``matmul(..., out=)``) and steady-state
-  inference allocates nothing.
+  generic C loop.
+* **Bound serving kernels** — the ``bind_*`` forms work out a compiled
+  plan step's geometry, window slices, chunk bounds and
+  :class:`~repro.serve.workspace.PlanWorkspace` buffers once and return
+  the slice copies, ``matmul(..., out)`` GEMMs and in-place epilogue calls
+  the plan replays, so a steady-state plan run does no set-up work and
+  allocates nothing.
 * **Scratch-buffer & geometry caching** — per (shape, kernel, stride,
   padding) signature the output geometry is memoised and the column and
   chunk buffers are recycled across iterations (``im2col`` only when the
@@ -75,6 +79,7 @@ class FastNumpyBackend(ArrayBackend):
         self._tls = threading.local()
         self._calibrated_cm_max_positions: Optional[int] = None
         self._calibrated_batched_max_fan_in: Optional[int] = None
+        self._call_arena = _CallArena(self)
 
     # ------------------------------------------------------------------ #
     # caches
@@ -310,23 +315,6 @@ class FastNumpyBackend(ArrayBackend):
     # ------------------------------------------------------------------ #
     # integer GEMM kernels
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _scale_bias_inplace(acc: np.ndarray, scale, bias, channel_axis: int) -> np.ndarray:
-        """Apply the distributed scale and per-channel bias to the accumulator."""
-        if scale is not None:
-            scale_arr = np.asarray(scale, dtype=acc.dtype)
-            if scale_arr.ndim:
-                shape = [1] * acc.ndim
-                shape[channel_axis] = -1
-                scale_arr = scale_arr.reshape(shape)
-            np.multiply(acc, scale_arr, out=acc)
-        if bias is not None:
-            bias_arr = np.asarray(bias, dtype=acc.dtype)
-            shape = [1] * acc.ndim
-            shape[channel_axis] = -1
-            np.add(acc, bias_arr.reshape(shape), out=acc)
-        return acc
-
     # Below this many output positions per sample, the batched per-sample
     # GEMMs are too small to use BLAS well and the channel-major single-GEMM
     # route wins even after paying two layout transposes.  This class-level
@@ -500,9 +488,9 @@ class FastNumpyBackend(ArrayBackend):
                 )
         return tuple(slices)
 
-    def _cm_columns(self, x_cm: np.ndarray, kernel: IntPair, stride: IntPair,
-                    padding: IntPair, workspace=None) -> np.ndarray:
-        """Channel-major column matrix ``(c*kh*kw, n*oh*ow)``, filled directly.
+    def _nchw_columns(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
+                      padding: IntPair) -> np.ndarray:
+        """Batch-major column tensor ``(n, c*kh*kw, oh*ow)``, filled directly.
 
         Instead of padding the input and copying a 6-D strided window view,
         each of the kh*kw kernel offsets contributes one strided slice copy
@@ -510,39 +498,12 @@ class FastNumpyBackend(ArrayBackend):
         key pins the full geometry, so the fill is bitwise-identical to the
         padded-window copy at a fraction of the memory traffic.
         """
-        c, n = x_cm.shape[:2]
-        h, w = x_cm.shape[2:]
-        kh, kw = kernel
-        oh, ow = self._output_geometry((n, c, h, w), kernel, stride, padding)
-        shape = (c, kh, kw, n, oh, ow)
-        key = ("i2c_cm", shape, stride, padding, (h, w), x_cm.dtype.str)
-        if workspace is not None:
-            cols = workspace.buffer(key, shape, x_cm.dtype, zero_on_alloc=True)
-        else:
-            cols = self._scratch_buffer(key, shape, x_cm.dtype, zero_on_alloc=True)
-        for i, j, oi, oj, ri, rj in self._window_slices(h, w, oh, ow, kernel, stride, padding):
-            cols[:, i, j, :, oi, oj] = x_cm[:, :, ri, rj]
-        return cols.reshape(c * kh * kw, n * oh * ow)
-
-    def _nchw_columns(self, x: np.ndarray, kernel: IntPair, stride: IntPair,
-                      padding: IntPair, workspace=None) -> np.ndarray:
-        """Batch-major column tensor ``(n, c*kh*kw, oh*ow)``, filled directly.
-
-        The batch-major twin of :meth:`_cm_columns`: the same unpadded
-        slice-copy fill, keeping the batch axis leading so the GEMM runs as
-        N per-sample products — the winning shape when ``oh*ow`` is large
-        (see :attr:`cm_kernel_max_positions`).  Skips the padded-input
-        scratch copy the generic :meth:`im2col` pays.
-        """
         n, c, h, w = x.shape
         kh, kw = kernel
         oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
         shape = (n, c, kh, kw, oh, ow)
         key = ("i2c_nb", shape, stride, padding, (h, w), x.dtype.str)
-        if workspace is not None:
-            cols = workspace.buffer(key, shape, x.dtype, zero_on_alloc=True)
-        else:
-            cols = self._scratch_buffer(key, shape, x.dtype, zero_on_alloc=True)
+        cols = self._scratch_buffer(key, shape, x.dtype, zero_on_alloc=True)
         for i, j, oi, oj, ri, rj in self._window_slices(h, w, oh, ow, kernel, stride, padding):
             cols[:, :, i, j, oi, oj] = x[:, :, ri, rj]
         return cols.reshape(n, c * kh * kw, oh * ow)
@@ -558,18 +519,18 @@ class FastNumpyBackend(ArrayBackend):
         return max(n, 1)
 
     def _conv_chunks(self, x: np.ndarray, kernel: IntPair, stride: IntPair, padding: IntPair,
-                     step: int, workspace=None, key=None):
+                     step: int):
         """Yield ``(start, cols)``: the ``(m, c*kh*kw, oh*ow)`` columns of each
         run of ``step`` samples of ``x``, in sample order.
 
-        The one column loop of the batch-major kernels (compiled plans'
-        :meth:`int_conv2d`, the training forward and the weight gradient).
-        Every chunk is filled into one chunk-sized buffer — the plan's arena
-        with a ``workspace``, thread-local scratch without — that is zeroed
-        once and keeps its zero border, so the full ``(N, F, P)`` column
-        tensor never exists when ``step < N``.  A pointwise conv's columns
-        ARE the (strided) input: no fill, the chunks are views.  The buffer
-        is overwritten by the next chunk, so consume each before advancing.
+        The column loop of the training kernels (the forward and the weight
+        gradient).  Every chunk is filled into one chunk-sized thread-local
+        scratch buffer that is zeroed once and keeps its zero border, so the
+        full ``(N, F, P)`` column tensor never exists when ``step < N``.  A
+        pointwise conv's columns ARE the (strided) input: no fill, the chunks
+        are views.  The buffer is overwritten by the next chunk, so consume
+        each before advancing.  :meth:`bind_int_conv2d` binds the same
+        schedule for the integer kernels.
         """
         n, c, h, w = x.shape
         kh, kw = kernel
@@ -577,16 +538,13 @@ class FastNumpyBackend(ArrayBackend):
         if (kh, kw) == (1, 1) and padding == (0, 0):
             sh, sw = stride
             sub = x if (sh, sw) == (1, 1) else x[:, :, ::sh, ::sw]
-            cols = self._pointwise_cols(sub, workspace, key).reshape(n, c, oh * ow)
+            cols = self._pointwise_cols(sub).reshape(n, c, oh * ow)
             for s in range(0, n, step):
                 yield s, cols[s : s + step]
             return
         shape = (step, c, kh, kw, oh, ow)
         buffer_key = ("i2c_nb", shape, stride, padding, (h, w), x.dtype.str)
-        if workspace is not None:
-            buffer = workspace.buffer(buffer_key, shape, x.dtype, zero_on_alloc=True)
-        else:
-            buffer = self._scratch_buffer(buffer_key, shape, x.dtype, zero_on_alloc=True)
+        buffer = self._scratch_buffer(buffer_key, shape, x.dtype, zero_on_alloc=True)
         cols = buffer.reshape(step, c * kh * kw, oh * ow)
         slices = self._window_slices(h, w, oh, ow, kernel, stride, padding)
         for s in range(0, n, step):
@@ -596,19 +554,19 @@ class FastNumpyBackend(ArrayBackend):
                 buffer[:m, :, i, j, oi, oj] = xs[:, :, ri, rj]
             yield s, cols[:m]
 
-    def _pointwise_cols(self, sub: np.ndarray, workspace=None, key=None) -> np.ndarray:
+    def _pointwise_cols(self, sub: np.ndarray) -> np.ndarray:
         """2-D column view/copy ``(lead, rest)`` of a 1x1 convolution's
         (strided) input, channel- or batch-major."""
         shape = (sub.shape[0], int(np.prod(sub.shape[1:])))
         if sub.flags["C_CONTIGUOUS"]:
             return sub.reshape(shape)
-        if workspace is not None and key is not None:
-            buf = workspace.buffer((key, "pw", shape, sub.dtype.str), shape, sub.dtype)
-        else:
-            buf = self._scratch_buffer(("pw", shape, sub.dtype), shape, sub.dtype)
+        buf = self._scratch_buffer(("pw", shape, sub.dtype), shape, sub.dtype)
         np.copyto(buf.reshape(sub.shape), sub)
         return buf
 
+    # The per-call integer and pooling kernels (IntegerInferenceSession,
+    # calibration) are their bind-time forms, bound on a _CallArena and
+    # replayed once: one implementation of each kernel.
     def int_conv2d(
         self,
         x: np.ndarray,
@@ -618,37 +576,17 @@ class FastNumpyBackend(ArrayBackend):
         padding: IntPair,
         scale=None,
         bias=None,
-        workspace=None,
-        key=None,
     ) -> np.ndarray:
-        # Integer codes fit float32 exactly up to 2^24, so the accumulation
-        # runs at the same precision as the float forward pass while hitting
-        # (batched) sgemm instead of the float64 einsum reference.
-        n = x.shape[0]
-        oc, fan_in = w_mat.shape
+        # Small spatial maps reroute to the channel-major GEMM (the positions
+        # threshold; compiled plans choose per conv instead).
         oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
-        # A workspace caller is a compiled plan that already chose this
-        # conv's layout (see InferencePlan's fan-in split) — serve the
-        # batched kernel as asked.  Module-path/session callers get the
-        # per-call positions-threshold reroute.
-        if workspace is None and n > 1 and oh * ow <= self.cm_max_positions:
+        if x.shape[0] > 1 and oh * ow <= self.cm_max_positions:
             out_cm = self.int_conv2d_cm(
                 x.transpose(1, 0, 2, 3), w_mat, kernel, stride, padding,
                 scale=scale, bias=bias,
             )
             return np.ascontiguousarray(out_cm.transpose(1, 0, 2, 3))
-        shape = (n, oc, oh * ow)
-        out_dtype = np.result_type(w_mat.dtype, x.dtype)
-        if workspace is not None and key is not None:
-            acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
-            step = self._conv_chunk_samples(n, fan_in, oh * ow)
-        else:
-            acc = np.empty(shape, dtype=out_dtype)
-            step = max(n, 1)
-        for s, cols in self._conv_chunks(x, kernel, stride, padding, step, workspace, key):
-            np.matmul(w_mat, cols, out=acc[s : s + step])  # (m, oc, P) batched BLAS
-        self._scale_bias_inplace(acc, scale, bias, channel_axis=1)
-        return acc.reshape(n, oc, oh, ow)
+        return self._call(self.bind_int_conv2d, x, w_mat, kernel, stride, padding, scale, bias)
 
     def int_conv2d_cm(
         self,
@@ -659,51 +597,19 @@ class FastNumpyBackend(ArrayBackend):
         padding: IntPair,
         scale=None,
         bias=None,
-        workspace=None,
-        key=None,
     ) -> np.ndarray:
-        # Channel-major columns put the batch inside the P axis, so the whole
-        # convolution is ONE (oc, F) x (F, N*P) GEMM — far better BLAS shape
-        # than N small batched products when oc and F are modest — and the
-        # (oc, N, oh, ow) output feeds the next layer with zero transposes.
-        c, n = x_cm.shape[:2]
-        kh, kw = kernel
-        sh, sw = stride
-        oc = w_mat.shape[0]
-        oh, ow = self._output_geometry((n, c) + x_cm.shape[2:], kernel, stride, padding)
-        if (kh, kw) == (1, 1) and padding == (0, 0):
-            # Pointwise convolution (the ResNet downsample projection): the
-            # column matrix IS the (strided) input — skip the window fill
-            # and go straight to the GEMM.
-            sub = x_cm if (sh, sw) == (1, 1) else x_cm[:, :, ::sh, ::sw]
-            cols2d = self._pointwise_cols(sub, workspace, key)
-        else:
-            cols2d = self._cm_columns(x_cm, kernel, stride, padding, workspace)
-        if workspace is not None and key is not None:
-            out_dtype = np.result_type(w_mat.dtype, cols2d.dtype)
-            out2d = workspace.buffer(
-                (key, "acc", (oc, cols2d.shape[1]), out_dtype.str),
-                (oc, cols2d.shape[1]),
-                out_dtype,
-            )
-            acc = np.matmul(w_mat, cols2d, out=out2d)
-        else:
-            acc = np.matmul(w_mat, cols2d)
-        self._scale_bias_inplace(acc, scale, bias, channel_axis=0)
-        return acc.reshape(oc, n, oh, ow)
+        return self._call(
+            self.bind_int_conv2d_cm, x_cm, w_mat, kernel, stride, padding, scale, bias
+        )
 
-    def int_linear(
-        self, x: np.ndarray, w: np.ndarray, scale=None, bias=None, workspace=None, key=None
-    ) -> np.ndarray:
-        if workspace is not None and key is not None:
-            out_dtype = np.result_type(x.dtype, w.dtype)
-            shape = x.shape[:-1] + (w.shape[0],)
-            out = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
-            acc = np.matmul(x, w.T, out=out)
-        else:
-            acc = np.matmul(x, w.T)
-        self._scale_bias_inplace(acc, scale, bias, channel_axis=acc.ndim - 1)
-        return acc
+    def int_linear(self, x: np.ndarray, w: np.ndarray, scale=None, bias=None) -> np.ndarray:
+        return self._call(self.bind_int_linear, x, w, scale, bias)
+
+    def _call(self, bind, *args) -> np.ndarray:
+        out, calls = bind(*args, self._call_arena, None)
+        for fn, call_args in calls:
+            fn(*call_args)
+        return out
 
     # ------------------------------------------------------------------ #
     # pooling kernels
@@ -738,54 +644,176 @@ class FastNumpyBackend(ArrayBackend):
                 grad_input[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += scaled
         return grad_input
 
-    def _pool_out(self, x: np.ndarray, oh: int, ow: int, workspace, key) -> Optional[np.ndarray]:
-        if workspace is None or key is None:
-            return None
+    def pool_max(self, x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
+        return self._call(self.bind_pool_max, x, kernel, stride)
+
+    def pool_avg(self, x: np.ndarray, kernel: IntPair, stride: IntPair) -> np.ndarray:
+        return self._call(self.bind_pool_avg, x, kernel, stride)
+
+    # ------------------------------------------------------------------ #
+    # bind-time kernels (compiled plans; see ArrayBackend.bind_int_conv2d)
+    # ------------------------------------------------------------------ #
+    # numpy runs a ufunc with a broadcast operand through its buffered
+    # iterator, which allocates its buffers and takes 2-3x the time of the
+    # same ufunc on equal shapes.  Up to this many elements a bound call
+    # gets its per-channel operands as full-size constants instead: the
+    # same element-wise products and sums, for at most 64 KiB per operand.
+    _EXPAND_MAX_ELEMENTS = 16384
+
+    def bound_channel_operands(self, acc: np.ndarray, operands):
+        if acc.size > self._EXPAND_MAX_ELEMENTS:
+            return tuple(operands)
+        return tuple(
+            op if op.ndim == 0 else np.ascontiguousarray(np.broadcast_to(op, acc.shape))
+            for op in operands
+        )
+
+    def _scale_bias_calls(self, acc: np.ndarray, scale, bias, channel_axis: int) -> list:
+        """In-place calls applying the distributed scale and per-channel bias."""
+        shape = [1] * acc.ndim
+        shape[channel_axis] = -1
+        ops, calls = [], []
+        for value, ufunc in ((scale, np.multiply), (bias, np.add)):
+            if value is not None:
+                arr = np.asarray(value, dtype=acc.dtype)
+                ops.append(arr.reshape(shape) if arr.ndim else arr)
+                calls.append(ufunc)
+        ops = self.bound_channel_operands(acc, ops)
+        return [(ufunc, (acc, op, acc)) for ufunc, op in zip(calls, ops)]
+
+    @staticmethod
+    def _bind_pointwise_cols(sub: np.ndarray, workspace, key, calls: list) -> np.ndarray:
+        """:meth:`_pointwise_cols` bound on the arena: a view of a contiguous
+        ``sub``, else an arena buffer plus the call that copies into it."""
+        shape = (sub.shape[0], int(np.prod(sub.shape[1:])))
+        if sub.flags["C_CONTIGUOUS"]:
+            return sub.reshape(shape)
+        buf = workspace.buffer((key, "pw", shape, sub.dtype.str), shape, sub.dtype)
+        calls.append((np.copyto, (buf.reshape(sub.shape), sub)))
+        return buf
+
+    def bind_int_conv2d(self, x, w_mat, kernel, stride, padding, scale, bias, workspace, key):
+        # The compiled plan already chose this conv's layout (its fan-in
+        # split), so the batched kernel is bound as asked, in chunks of
+        # _conv_chunk_samples.  The accumulation is float32 sgemm.  It is
+        # NOT exact in integer mode: the weights are integer codes, but the
+        # activations they multiply are dequantized floats (each PACT
+        # staircase ends with ``x step``), so the products are not integers
+        # and their rounding depends on the GEMM's shape.  See ROADMAP
+        # "Codes end to end".
+        n, c, h, w = x.shape
+        kh, kw = kernel
+        oc, fan_in = w_mat.shape
+        oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
+        shape = (n, oc, oh * ow)
+        out_dtype = np.result_type(w_mat.dtype, x.dtype)
+        acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+        step = self._conv_chunk_samples(n, fan_in, oh * ow)
+        calls = []
+        if (kh, kw) == (1, 1) and padding == (0, 0):
+            sh, sw = stride
+            sub = x if (sh, sw) == (1, 1) else x[:, :, ::sh, ::sw]
+            cols = self._bind_pointwise_cols(sub, workspace, key, calls).reshape(n, c, oh * ow)
+            for s in range(0, n, step):
+                calls.append((np.matmul, (w_mat, cols[s : s + step], acc[s : s + step])))
+        else:
+            chunk = (step, c, kh, kw, oh, ow)
+            buffer = workspace.buffer(
+                ("i2c_nb", chunk, stride, padding, (h, w), x.dtype.str), chunk, x.dtype,
+                zero_on_alloc=True,
+            )
+            cols = buffer.reshape(step, c * kh * kw, oh * ow)
+            slices = self._window_slices(h, w, oh, ow, kernel, stride, padding)
+            for s in range(0, n, step):
+                xs = x[s : s + step]
+                m = xs.shape[0]
+                for i, j, oi, oj, ri, rj in slices:
+                    calls.append((np.copyto, (buffer[:m, :, i, j, oi, oj], xs[:, :, ri, rj])))
+                calls.append((np.matmul, (w_mat, cols[:m], acc[s : s + m])))
+        calls += self._scale_bias_calls(acc, scale, bias, 1)
+        return acc.reshape(n, oc, oh, ow), tuple(calls)
+
+    def bind_int_conv2d_cm(self, x_cm, w_mat, kernel, stride, padding, scale, bias, workspace, key):
+        # Channel-major columns put the batch inside the P axis, so the whole
+        # convolution is ONE (oc, F) x (F, N*P) GEMM — far better BLAS shape
+        # than N small batched products when oc and F are modest — and the
+        # (oc, N, oh, ow) output feeds the next layer with zero transposes.
+        # The accumulation is float32, as in bind_int_conv2d.
+        c, n, h, w = x_cm.shape
+        kh, kw = kernel
+        oc = w_mat.shape[0]
+        oh, ow = self._output_geometry((n, c, h, w), kernel, stride, padding)
+        calls = []
+        if (kh, kw) == (1, 1) and padding == (0, 0):
+            # Pointwise (the ResNet downsample projection): the column matrix
+            # IS the (strided) input, so there is no window fill.
+            sh, sw = stride
+            sub = x_cm if (sh, sw) == (1, 1) else x_cm[:, :, ::sh, ::sw]
+            cols2d = self._bind_pointwise_cols(sub, workspace, key, calls)
+        else:
+            shape = (c, kh, kw, n, oh, ow)
+            cols = workspace.buffer(
+                ("i2c_cm", shape, stride, padding, (h, w), x_cm.dtype.str), shape, x_cm.dtype,
+                zero_on_alloc=True,
+            )
+            for i, j, oi, oj, ri, rj in self._window_slices(h, w, oh, ow, kernel, stride, padding):
+                calls.append((np.copyto, (cols[:, i, j, :, oi, oj], x_cm[:, :, ri, rj])))
+            cols2d = cols.reshape(c * kh * kw, n * oh * ow)
+        shape = (oc, cols2d.shape[1])
+        out_dtype = np.result_type(w_mat.dtype, cols2d.dtype)
+        acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+        calls.append((np.matmul, (w_mat, cols2d, acc)))
+        calls += self._scale_bias_calls(acc, scale, bias, 0)
+        return acc.reshape(oc, n, oh, ow), tuple(calls)
+
+    def bind_int_linear(self, x, w, scale, bias, workspace, key):
+        out_dtype = np.result_type(x.dtype, w.dtype)
+        shape = x.shape[:-1] + (w.shape[0],)
+        acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+        calls = [(np.matmul, (x, w.T, acc))]
+        calls += self._scale_bias_calls(acc, scale, bias, acc.ndim - 1)
+        return acc, tuple(calls)
+
+    # kh*kw strided elementwise passes beat a reduction over a 6-D
+    # as_strided view by a wide margin: each pass is a flat SIMD op over the
+    # output-sized grid for one in-window offset.  The two leading axes are
+    # batch, so the same kernels serve the NCHW and channel-major layouts.
+    def _bind_pool(self, x, kernel, stride, workspace, key, combine):
+        (kh, kw), (sh, sw) = kernel, stride
+        oh, ow = self._output_geometry(x.shape, kernel, stride, (0, 0))
+        windows = [
+            x[..., i : i + sh * oh : sh, j : j + sw * ow : sw]
+            for i in range(kh)
+            for j in range(kw)
+        ]
         shape = x.shape[:2] + (oh, ow)
-        return workspace.buffer((key, "pool", shape, x.dtype.str), shape, x.dtype)
+        out = workspace.buffer((key, "pool", shape, x.dtype.str), shape, x.dtype)
+        into_out = functools.partial(combine, out=out)  # maximum deprecates a positional out
+        calls = [(np.copyto, (out, windows[0]))]
+        calls += [(into_out, (out, window)) for window in windows[1:]]
+        return out, calls
 
-    def pool_max(
-        self, x: np.ndarray, kernel: IntPair, stride: IntPair, workspace=None, key=None
-    ) -> np.ndarray:
-        # kh*kw strided elementwise maxima beat a max-reduction over a 6-D
-        # as_strided view by a wide margin: each pass is a flat SIMD maximum
-        # over the output-sized grid for one in-window offset.
-        kh, kw = kernel
-        sh, sw = stride
-        oh, ow = self._output_geometry(x.shape, kernel, stride, (0, 0))
-        out = self._pool_out(x, oh, ow, workspace, key)
-        first = True
-        for i in range(kh):
-            for j in range(kw):
-                window = x[..., i : i + sh * oh : sh, j : j + sw * ow : sw]
-                if first:
-                    if out is None:
-                        out = window.copy()
-                    else:
-                        np.copyto(out, window)
-                    first = False
-                else:
-                    np.maximum(out, window, out=out)
-        return out
+    def bind_pool_max(self, x, kernel, stride, workspace, key):
+        out, calls = self._bind_pool(x, kernel, stride, workspace, key, np.maximum)
+        return out, tuple(calls)
 
-    def pool_avg(
-        self, x: np.ndarray, kernel: IntPair, stride: IntPair, workspace=None, key=None
-    ) -> np.ndarray:
-        kh, kw = kernel
-        sh, sw = stride
-        oh, ow = self._output_geometry(x.shape, kernel, stride, (0, 0))
-        out = self._pool_out(x, oh, ow, workspace, key)
-        first = True
-        for i in range(kh):
-            for j in range(kw):
-                window = x[..., i : i + sh * oh : sh, j : j + sw * ow : sw]
-                if first:
-                    if out is None:
-                        out = window.copy()
-                    else:
-                        np.copyto(out, window)
-                    first = False
-                else:
-                    np.add(out, window, out=out)
-        out *= out.dtype.type(1.0 / (kh * kw))
-        return out
+    def bind_pool_avg(self, x, kernel, stride, workspace, key):
+        out, calls = self._bind_pool(x, kernel, stride, workspace, key, np.add)
+        scale = np.asarray(1.0 / (kernel[0] * kernel[1]), dtype=out.dtype)
+        calls.append((np.multiply, (out, scale, out)))
+        return out, tuple(calls)
+
+
+class _CallArena:
+    """The arena a per-call kernel binds on.  Zero-bordered column blocks
+    are thread-local scratch — their zero border is an invariant, so reuse
+    is free; every other buffer is fresh, because the result leaves the
+    call."""
+
+    def __init__(self, backend: FastNumpyBackend) -> None:
+        self._backend = backend
+
+    def buffer(self, key, shape, dtype, zero_on_alloc: bool = False) -> np.ndarray:
+        if zero_on_alloc:
+            return self._backend._scratch_buffer(key, tuple(shape), np.dtype(dtype), True)
+        return np.empty(shape, dtype=dtype)

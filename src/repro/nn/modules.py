@@ -146,11 +146,11 @@ class Module:
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         params = dict(self.named_parameters())
-        buffers: Dict[str, np.ndarray] = {}
+        buffers: Dict[str, Tuple["Module", np.ndarray]] = {}
         for name, module in self.named_modules():
             for buf_name, buffer in getattr(module, "_buffers", {}).items():
                 key = f"{name}.{buf_name}" if name else buf_name
-                buffers[key] = buffer
+                buffers[key] = (module, buffer)
         for key, value in state.items():
             if key in params:
                 if params[key].data.shape != value.shape:
@@ -161,7 +161,9 @@ class Module:
                 params[key].data = value.astype(np.float32).copy()
                 params[key].bump_version()
             elif key in buffers:
-                buffers[key][...] = value
+                owner, buffer = buffers[key]
+                buffer[...] = value
+                owner.stats_version += 1
             else:
                 raise KeyError(f"unexpected key {key!r} in state dict")
 
@@ -269,6 +271,12 @@ class BatchNorm2d(Module):
             "running_mean": backend.zeros((num_features,), dtype=np.float32),
             "running_var": backend.ones((num_features,), dtype=np.float32),
         }
+        #: Bumped whenever the running statistics change through the module
+        #: (a training-mode forward, ``load_state_dict``): the buffers'
+        #: counterpart of ``Tensor.version``.  Writing them in place from
+        #: outside is not seen, like a weight mutated without
+        #: ``bump_version()``.
+        self.stats_version = 0
 
     @property
     def running_mean(self) -> np.ndarray:
@@ -279,6 +287,8 @@ class BatchNorm2d(Module):
         return self._buffers["running_var"]
 
     def forward(self, x: Tensor) -> Tensor:
+        if self.training:
+            self.stats_version += 1  # F.batch_norm updates the stats in place
         return F.batch_norm(
             x,
             self.weight,

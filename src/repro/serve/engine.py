@@ -12,16 +12,18 @@ plan itself does not:
 * **lifecycle** — the plan is traced lazily on the first call (the input
   shape is only known then), then kept fresh by a *staleness check* instead
   of an unconditional per-call refresh: the engine fingerprints the model
-  (sum of every parameter's ``Tensor.version``, the per-layer bit
-  assignment, and the BatchNorm running-statistic sums) and only re-resolves
-  the plan's constants when that token changes.  A server calling
-  ``predict`` thousands of times on frozen weights pays for the refresh
-  once; optimizer steps, ``set_bits``/``apply_assignment`` and checkpoint
-  loads all change the token and are honoured automatically.  Weights
-  mutated in place *without* ``bump_version()`` are invisible to the check
-  (as everywhere else in the stack) — pass ``refresh=True`` to force a
-  re-resolve.  The engine never flips the model's train/eval mode: the
-  trace does, and restores it even when a forward raises;
+  from counters alone (every parameter's ``Tensor.version``, the per-layer
+  bit assignment, and every BatchNorm's ``stats_version``) and only
+  re-resolves the plan's constants when that token changes.  The counters
+  only ever grow, so two different states can never share a token.  A
+  server calling ``predict`` thousands of times on frozen weights pays for
+  the refresh once; optimizer steps, ``set_bits``/``apply_assignment``,
+  training-mode forwards and checkpoint loads all change the token and are
+  honoured automatically.  Weights or statistics mutated in place *without*
+  bumping their counter are invisible to the check (as everywhere else in
+  the stack) — pass ``refresh=True`` to force a re-resolve.  The engine
+  never flips the model's train/eval mode: the trace does, and restores it
+  even when a forward raises;
 * **refusal** — a model the tracer cannot compile is refused, never
   served another way: ``predict``, ``predict_logits`` and :meth:`warmup`
   raise the :class:`~repro.serve.PlanTraceError` (or
@@ -140,11 +142,12 @@ class InferenceEngine:
 
         Parameter ``version`` counters catch optimizer steps and checkpoint
         loads; the per-layer bit tuple catches ``set_bits`` /
-        ``apply_assignment``; the BatchNorm running-statistic sums catch
-        stat updates from training-mode forward passes (buffers have no
-        version counter).  In-place weight mutation without
-        ``bump_version()`` is invisible here by design — the same contract
-        as the quantized-weight cache.
+        ``apply_assignment``; BatchNorm ``stats_version`` counters catch
+        running-statistic updates (training-mode forwards, checkpoint
+        loads).  No array is read, and since every counter only grows, their
+        sums change whenever any of them does.  In-place mutation that bumps
+        no counter is invisible here by design — the same contract as the
+        quantized-weight cache.
         """
         sources = self._token_sources
         if sources is None:
@@ -157,14 +160,11 @@ class InferenceEngine:
             )
             sources = self._token_sources = (params, qlayers, bns)
         params, qlayers, bns = sources
-        versions = sum(param.version for param in params)
-        bits = tuple(module.bits for module in qlayers)
-        bn_stats = tuple(
-            stat
-            for module in bns
-            for stat in (float(module.running_mean.sum()), float(module.running_var.sum()))
+        return (
+            sum(param.version for param in params),
+            tuple(module.bits for module in qlayers),
+            sum(module.stats_version for module in bns),
         )
-        return (versions, bits, bn_stats)
 
     def _refresh_plan(self, force: bool) -> None:
         """Re-resolve plan constants only when the model actually changed."""
@@ -269,9 +269,9 @@ class InferenceEngine:
         * the backend's channel-major threshold is calibrated (see
           :meth:`~repro.backend.fast_numpy.FastNumpyBackend.calibrate_cm_max_positions`;
           a ``REPRO_CM_MAX_POSITIONS`` env pin skips measurement);
-        * the plan's workspace arena is primed with one run at the engine's
-          batch size, so steady-state ``predict`` starts at zero
-          allocations from the very first request.
+        * the plan is bound and its workspace arena primed with one run at
+          the engine's batch size, so steady-state ``predict`` starts at
+          zero allocations from the very first request.
         """
         if input_shape is None:
             hint = getattr(self.model, "example_input_shape", None)

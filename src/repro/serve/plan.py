@@ -59,10 +59,18 @@ Every successful trace is verified: the compiled plan replays probe inputs
 and must agree with the model's own eval-mode forward pass (bitwise for
 reference plans), so a structural mis-compile can never serve silently
 wrong numbers.
+
+An optimized plan executes **bound**: on the first run at an input shape it
+binds every step (see :meth:`_Step.bind`) into one flat schedule of
+``(callable, args)`` numpy calls over its arena's buffers and views, and
+every later run at that shape just replays the schedule.  ``refresh()``
+and any arena eviction drop the schedules (see
+:mod:`repro.serve.workspace`).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,7 +78,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# np.clip's ufunc, called directly: the public wrapper spends microseconds
+# on argument handling per call, and a bound schedule makes dozens.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip as _clip
+
 from ..backend import get_backend
+from ..backend.base import Calls
 from ..nn.modules import (
     AvgPool2d,
     BatchNorm2d,
@@ -173,7 +189,8 @@ class _CatEvent:
 @dataclass
 class _UnsupportedEvent:
     # Glue-level arithmetic no step implements (a division, a subtraction,
-    # a power): recorded only so a trace error can name it.
+    # a power, a scalar multiply or add): recorded only so a trace error
+    # can name it.
     op: str
     output_tensor: Tensor
 
@@ -197,8 +214,9 @@ def _trace_graph(model, probe: Tensor) -> Tuple[List[object], object]:
     tensor arithmetic internally) are suppressed by a leaf-depth counter, so
     only the joins written in container ``forward`` bodies — residual
     additions, gating multiplies, channel concatenations — are recorded.
-    Scalar arithmetic (``x * 0.5``) is never recorded: only Tensor-Tensor
-    joins are graph edges.
+    Only Tensor-Tensor joins are graph edges; scalar arithmetic (``x * 0.5``,
+    ``x + 0.5``) is recorded as unsupported glue, like a division, so a
+    flatten inferred past it is refused instead of skipping it.
     """
     events: List[object] = []
     owner = threading.get_ident()
@@ -236,17 +254,20 @@ def _trace_graph(model, probe: Tensor) -> Tuple[List[object], object]:
                 events.append(_TraceEvent(module, args[0], out, args[0].shape, out.shape))
             return out
 
-        def tracing_add(self, other):
-            out = original_add(self, other)
-            if mine() and isinstance(other, Tensor) and isinstance(out, Tensor):
-                events.append(_AddEvent(self, other, out))
-            return out
+        def joining(original, event_type, scalar_op):
+            def tracing_join(self, other):
+                out = original(self, other)
+                if mine() and isinstance(out, Tensor):
+                    if isinstance(other, Tensor):
+                        events.append(event_type(self, other, out))
+                    else:
+                        events.append(_UnsupportedEvent(scalar_op, out))
+                return out
 
-        def tracing_mul(self, other):
-            out = original_mul(self, other)
-            if mine() and isinstance(other, Tensor) and isinstance(out, Tensor):
-                events.append(_MulEvent(self, other, out))
-            return out
+            return tracing_join
+
+        tracing_add = joining(original_add, _AddEvent, "scalar addition")
+        tracing_mul = joining(original_mul, _MulEvent, "scalar multiplication")
 
         def tracing_cat(tensors, axis=0):
             tensors = list(tensors)
@@ -494,15 +515,35 @@ def _build_ops(
 # --------------------------------------------------------------------------- #
 # compiled steps
 # --------------------------------------------------------------------------- #
-class _Step:
-    """One compiled operation: ``refresh`` re-resolves constants, ``run`` executes.
+def _scalar(value, like: np.ndarray) -> np.ndarray:
+    """``value`` as a 0-d array of ``like``'s dtype — the operand numpy makes
+    of a Python float next to that array, so the bits are the same, without
+    the several microseconds a ufunc spends converting it on every call."""
+    return np.asarray(value, dtype=like.dtype)
 
-    ``state`` is the per-call register file for branch values: a dict the
-    save/load/residual-add steps use to keep shortcut activations alive
-    between their producer and the join point.  ``ws`` is the plan's
-    :class:`~repro.serve.workspace.PlanWorkspace` (``None`` for reference
-    plans): optimized steps route every output/scratch buffer through it,
-    keyed by the step's :attr:`key`, so steady-state runs allocate nothing.
+
+def _take(slots: Dict[str, np.ndarray], slot: str, pop: bool) -> np.ndarray:
+    return slots.pop(slot) if pop else slots[slot]
+
+
+class _Step:
+    """One compiled operation.
+
+    ``refresh`` re-resolves the step's constants.  An optimized plan binds
+    each step once per input shape: ``bind(x, ws, backend, slots)`` gets the
+    array the step will read at run time (an arena buffer or a view of
+    one), the plan's :class:`~repro.serve.workspace.PlanWorkspace`, the
+    active backend and ``slots``, the bind-time register file of branch
+    values the save/load/join steps route shortcuts through.  It returns
+    ``(out, calls)``: the output array and the ``(callable, args)`` numpy
+    calls that fill it, which the plan replays on every run at that shape.
+    Steps whose output is a view of their input (layout flips, slices,
+    saves and loads) bind no calls at all.  Every buffer comes from the
+    arena, keyed by the step's :attr:`key`.
+
+    Reference plans (``optimize=False``) have no arena; their steps
+    implement ``run(x, backend, state)`` instead, called on every run with a
+    fresh ``state`` register file.
     """
 
     #: Position-derived identity assigned by the owning plan; namespaces the
@@ -517,7 +558,10 @@ class _Step:
     def refresh(self) -> None:  # pragma: no cover - interface
         pass
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:  # pragma: no cover
+    def bind(self, x: np.ndarray, ws: PlanWorkspace, backend, slots) -> Tuple[object, Calls]:
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def run(self, x: np.ndarray, backend, state):  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -531,18 +575,15 @@ class _LayoutFlipView(_Step):
     plan.
     """
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        return x.transpose(1, 0, 2, 3)
+    def bind(self, x, ws, backend, slots):
+        return x.transpose(1, 0, 2, 3), ()
 
 
 class _ToBatchMajor(_Step):
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        if ws is not None:
-            shape = (x.shape[1], x.shape[0]) + x.shape[2:]
-            out = ws.buffer((self.key, "tbm", shape, x.dtype.str), shape, x.dtype)
-            np.copyto(out, x.transpose(1, 0, 2, 3))
-            return out
-        return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    def bind(self, x, ws, backend, slots):
+        shape = (x.shape[1], x.shape[0]) + x.shape[2:]
+        out = ws.buffer((self.key, "tbm", shape, x.dtype.str), shape, x.dtype)
+        return out, ((np.copyto, (out, x.transpose(1, 0, 2, 3))),)
 
 
 class _SaveStep(_Step):
@@ -551,9 +592,12 @@ class _SaveStep(_Step):
     def __init__(self, slot: str) -> None:
         self.slot = slot
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def run(self, x, backend, state):
         state[self.slot] = x
         return x
+
+    def bind(self, x, ws, backend, slots):
+        return self.run(x, backend, slots), ()
 
 
 class _LoadStep(_Step):
@@ -563,61 +607,71 @@ class _LoadStep(_Step):
         self.slot = slot
         self.pop = pop
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        return state.pop(self.slot) if self.pop else state[self.slot]
+    def run(self, x, backend, state):
+        return _take(state, self.slot, self.pop)
+
+    def bind(self, x, ws, backend, slots):
+        return self.run(x, backend, slots), ()
 
 
-class _ResidualAddStep(_Step):
-    """Join point: add a saved shortcut value onto the live activation.
+class _JoinStep(_Step):
+    """Elementwise join of a saved branch value onto the live activation.
 
-    ``transpose`` reconciles a shortcut saved in batch-major layout with a
-    channel-major live activation (or vice versa) — elementwise addition is
+    ``transpose`` reconciles a branch saved in batch-major layout with a
+    channel-major live activation (or vice versa) — an elementwise join is
     layout-agnostic once the axes are permuted, and the permuted view costs
-    nothing.  ``inplace`` lets the backend accumulate into the live buffer
+    nothing.  ``inplace`` lets the join accumulate into the live buffer
     when the compiler proved it is a fresh, exclusively-owned array; the
     copy-on-join case lands in a workspace buffer instead of allocating.
     """
 
+    #: The ufunc a bound join calls, the backend kernel a reference plan
+    #: calls (same ufunc, so the same bits), and the arena buffer role.
+    ufunc = None
+    kernel_name = ""
+    role = ""
+
     def __init__(self, slot: str, pop: bool, transpose: bool = False, inplace: bool = False) -> None:
         self.slot = slot
         self.pop = pop
         self.transpose = transpose
         self.inplace = inplace
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        shortcut = state.pop(self.slot) if self.pop else state[self.slot]
-        if self.transpose:
-            shortcut = shortcut.transpose(1, 0, 2, 3)
-        out = None
-        if ws is not None and not self.inplace:
-            out = ws.buffer((self.key, "res", x.shape, x.dtype.str), x.shape, x.dtype)
-        return backend.residual_add(x, shortcut, inplace=self.inplace, out=out)
+    def _branch(self, slots) -> np.ndarray:
+        branch = _take(slots, self.slot, self.pop)
+        return branch.transpose(1, 0, 2, 3) if self.transpose else branch
+
+    def run(self, x, backend, state):
+        return getattr(backend, self.kernel_name)(x, self._branch(state))
+
+    def bind(self, x, ws, backend, slots):
+        branch = self._branch(slots)
+        if self.inplace and x.flags.writeable:
+            out = x
+        else:
+            out = ws.buffer((self.key, self.role, x.shape, x.dtype.str), x.shape, x.dtype)
+        return out, ((self.ufunc, (x, branch, out)),)
 
 
-class _ResidualMulStep(_Step):
+class _ResidualAddStep(_JoinStep):
+    """Join point: add a saved shortcut value onto the live activation."""
+
+    ufunc = np.add
+    kernel_name = "residual_add"
+    role = "res"
+
+
+class _ResidualMulStep(_JoinStep):
     """Gating join: multiply a saved branch value onto the live activation.
 
-    The elementwise sibling of :class:`_ResidualAddStep` (same slot, layout
-    and in-place semantics — IEEE multiplication is commutative bitwise, so
-    operand order never matters) backed by
-    :meth:`~repro.backend.ArrayBackend.residual_mul`.  This is the join a
-    gated-attention block compiles to: ``value * sigmoid(gate)``.
+    IEEE multiplication is commutative bitwise, so operand order never
+    matters.  This is the join a gated-attention block compiles to:
+    ``value * sigmoid(gate)``.
     """
 
-    def __init__(self, slot: str, pop: bool, transpose: bool = False, inplace: bool = False) -> None:
-        self.slot = slot
-        self.pop = pop
-        self.transpose = transpose
-        self.inplace = inplace
-
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        gate = state.pop(self.slot) if self.pop else state[self.slot]
-        if self.transpose:
-            gate = gate.transpose(1, 0, 2, 3)
-        out = None
-        if ws is not None and not self.inplace:
-            out = ws.buffer((self.key, "mul", x.shape, x.dtype.str), x.shape, x.dtype)
-        return backend.residual_mul(x, gate, inplace=self.inplace, out=out)
+    ufunc = np.multiply
+    kernel_name = "residual_mul"
+    role = "mul"
 
 
 class _ConcatStep(_Step):
@@ -629,53 +683,52 @@ class _ConcatStep(_Step):
     layout disagrees with the join's output layout (a permuted view — the
     gather copy materialises it).  ``channel_major`` says which axis is the
     channel axis of the *output* (0 in CNHW, 1 in NCHW/flat), so the step
-    works in whatever layout the surrounding stages already use; widths are
-    read off the operands at run time, so any batch size serves.  With a
-    workspace the parts are copied directly into one preallocated
-    destination buffer — no ``np.concatenate`` allocation on the hot path —
-    and the result is bitwise-identical either way (pure data movement).
+    works in whatever layout the surrounding stages already use.  A bound
+    concatenation copies each part into its slice of one arena buffer; the
+    result is bitwise-identical to ``np.concatenate`` (pure data movement).
     """
 
     def __init__(
         self, parts: Sequence[Tuple[Optional[str], bool, bool]], channel_major: bool
     ) -> None:
         self.parts = list(parts)
-        self.channel_major = channel_major
+        self.axis = 0 if channel_major else 1
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def _arrays(self, x, slots) -> List[np.ndarray]:
         arrays = []
         for slot, pop, transpose in self.parts:
-            part = x if slot is None else (state.pop(slot) if pop else state[slot])
-            if transpose:
-                part = part.transpose(1, 0, 2, 3)
-            arrays.append(part)
-        axis = 0 if self.channel_major else 1
-        if ws is None:
-            return np.concatenate(arrays, axis=axis)
+            part = x if slot is None else _take(slots, slot, pop)
+            arrays.append(part.transpose(1, 0, 2, 3) if transpose else part)
+        return arrays
+
+    def run(self, x, backend, state):
+        return np.concatenate(self._arrays(x, state), axis=self.axis)
+
+    def bind(self, x, ws, backend, slots):
+        arrays = self._arrays(x, slots)
+        axis = self.axis
         shape = list(arrays[0].shape)
         shape[axis] = sum(a.shape[axis] for a in arrays)
         shape = tuple(shape)
         out = ws.buffer((self.key, "cat", shape, arrays[0].dtype.str), shape, arrays[0].dtype)
+        calls = []
         offset = 0
         for part in arrays:
             width = part.shape[axis]
-            if axis == 0:
-                np.copyto(out[offset : offset + width], part)
-            else:
-                np.copyto(out[:, offset : offset + width], part)
+            window = out[offset : offset + width] if axis == 0 else out[:, offset : offset + width]
+            calls.append((np.copyto, (window, part)))
             offset += width
-        return out
+        return out, tuple(calls)
 
 
 class _OutputsStep(_Step):
     """Terminal step of a multi-output plan: collect named result slots.
 
     Each entry reads either the live activation (``slot=None``) or a saved
-    branch value, converts channel-major spatial outputs back to NCHW, and
-    copies the array out of the arena — every returned output is
-    caller-owned, the same contract as a single-output plan's detached
-    logits.  The step returns a ``dict`` which :meth:`InferencePlan.run`
-    passes through unchanged.
+    branch value and views channel-major spatial outputs as NCHW.  The step
+    yields a ``dict`` which :meth:`InferencePlan.run` copies entry by entry
+    out of the arena — every returned output is caller-owned, the same
+    contract as a single-output plan's detached logits.
     """
 
     def __init__(
@@ -684,16 +737,15 @@ class _OutputsStep(_Step):
         # (name, slot-or-None, pop, channel_major)
         self.entries = list(entries)
 
-    def run(self, x: np.ndarray, backend, state, ws=None):
+    def run(self, x, backend, state):
         out: Dict[str, np.ndarray] = {}
         for name, slot, pop, channel_major in self.entries:
-            part = x if slot is None else (state.pop(slot) if pop else state[slot])
-            if channel_major:
-                part = np.ascontiguousarray(part.transpose(1, 0, 2, 3))
-            else:
-                part = np.array(part)
-            out[name] = part
+            part = x if slot is None else _take(state, slot, pop)
+            out[name] = part.transpose(1, 0, 2, 3) if channel_major else part
         return out
+
+    def bind(self, x, ws, backend, slots):
+        return self.run(x, backend, slots), ()
 
 
 def _resolve_activation(act: Optional[Module]):
@@ -712,22 +764,27 @@ def _resolve_activation(act: Optional[Module]):
     raise PlanTraceError(f"unsupported fused activation {type(act).__name__}")
 
 
-def _apply_activation_inplace(out: np.ndarray, relu: bool, alpha, step) -> np.ndarray:
+def _activation_calls(src: np.ndarray, out: np.ndarray, relu: bool, alpha, step) -> Calls:
+    """Calls applying a ReLU or PACT to ``src`` into ``out`` (in place when
+    they are the same array); the first call doubles as the copy."""
+    zero = _scalar(0.0, out)
     if relu:
-        np.maximum(out, 0.0, out=out)
-    elif alpha is not None:
-        if step is not None:
-            # Scaled-first staircase: one multiply instead of a divide
-            # (float division is ~2x the cost per element), clipping at the
-            # level count in the scaled domain.  Same staircase up to a
-            # 1-ulp rounding boundary — the fused-plan tolerance allowance.
-            np.multiply(out, 1.0 / step, out=out)
-            np.clip(out, 0.0, alpha / step, out=out)
-            np.rint(out, out=out)
-            np.multiply(out, step, out=out)
-        else:
-            np.clip(out, 0.0, alpha, out=out)
-    return out
+        # np.maximum deprecates a positional ``out``.
+        return ((functools.partial(np.maximum, out=out), (src, zero)),)
+    if alpha is None:
+        return () if src is out else ((np.copyto, (out, src)),)
+    if step is None:
+        return ((_clip, (src, zero, _scalar(alpha, out), out)),)
+    # Scaled-first staircase: one multiply instead of a divide (float
+    # division is ~2x the cost per element), clipping at the level count in
+    # the scaled domain.  Same staircase up to a 1-ulp rounding boundary —
+    # the fused-plan tolerance allowance.
+    return (
+        (np.multiply, (src, _scalar(1.0 / step, out), out)),
+        (_clip, (out, zero, _scalar(alpha / step, out), out)),
+        (np.rint, (out, out)),
+        (np.multiply, (out, _scalar(step, out), out)),
+    )
 
 
 class _FusedConvStep(_Step):
@@ -800,7 +857,7 @@ class _FusedConvStep(_Step):
                 self._scale = None
             else:
                 # Integer mode keeps the scale distributed outside the GEMM
-                # so the accumulation stays over exact small-integer codes.
+                # so the weight operand stays the integer codes.
                 self._scale = scale * g
             self._bias = folded_bias
         else:
@@ -808,13 +865,15 @@ class _FusedConvStep(_Step):
             self._bias = bias
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        conv = backend.int_conv2d_cm if self.channel_major else backend.int_conv2d
-        out = conv(
+    def bind(self, x, ws, backend, slots):
+        kernel = backend.bind_int_conv2d_cm if self.channel_major else backend.bind_int_conv2d
+        out, calls = kernel(
             x, self._w_mat, self.kernel, self.stride, self.padding,
-            scale=self._scale, bias=self._bias, workspace=ws, key=self.key,
+            self._scale, self._bias, ws, self.key,
         )
-        return _apply_activation_inplace(out, self._relu, self._alpha, self._step)
+        return out, tuple(calls) + _activation_calls(
+            out, out, self._relu, self._alpha, self._step
+        )
 
 
 class _FusedLinearStep(_Step):
@@ -848,11 +907,11 @@ class _FusedLinearStep(_Step):
         self._bias = None if layer.bias is None else layer.bias.data
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        out = backend.int_linear(
-            x, self._w, scale=self._scale, bias=self._bias, workspace=ws, key=self.key
+    def bind(self, x, ws, backend, slots):
+        out, calls = backend.bind_int_linear(x, self._w, self._scale, self._bias, ws, self.key)
+        return out, tuple(calls) + _activation_calls(
+            out, out, self._relu, self._alpha, self._step
         )
-        return _apply_activation_inplace(out, self._relu, self._alpha, self._step)
 
 
 class _BatchNormStep(_Step):
@@ -872,14 +931,11 @@ class _BatchNormStep(_Step):
         self._scale = g.reshape(self._shape)
         self._bias = (bn.bias.data - bn.running_mean * g).reshape(self._shape)
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        if ws is not None:
-            dtype = np.result_type(x.dtype, self._scale.dtype)
-            out = ws.buffer((self.key, "bn", x.shape, dtype.str), x.shape, dtype)
-            np.multiply(x, self._scale, out=out)
-            np.add(out, self._bias, out=out)
-            return out
-        return x * self._scale + self._bias
+    def bind(self, x, ws, backend, slots):
+        dtype = np.result_type(x.dtype, self._scale.dtype)
+        out = ws.buffer((self.key, "bn", x.shape, dtype.str), x.shape, dtype)
+        scale, bias = backend.bound_channel_operands(out, (self._scale, self._bias))
+        return out, ((np.multiply, (x, scale, out)), (np.add, (out, bias, out)))
 
 
 class _ActivationStep(_Step):
@@ -894,31 +950,11 @@ class _ActivationStep(_Step):
     def refresh(self) -> None:
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        # Single-pass clip/max into a fresh (or workspace) buffer — instead
-        # of copy-then-in-place — then the staircase runs in place on it.
-        out = None
-        if ws is not None:
-            out = ws.buffer((self.key, "act", x.shape, x.dtype.str), x.shape, x.dtype)
-        if self._relu:
-            return np.maximum(x, 0.0) if out is None else np.maximum(x, 0.0, out=out)
-        if self._alpha is not None:
-            if self._step is not None:
-                # Scaled-first staircase (see _apply_activation_inplace): the
-                # first multiply doubles as the copy into the output buffer.
-                out = np.multiply(x, 1.0 / self._step, out=out)
-                np.clip(out, 0.0, self._alpha / self._step, out=out)
-                np.rint(out, out=out)
-                np.multiply(out, self._step, out=out)
-            elif out is None:
-                out = np.clip(x, 0.0, self._alpha)
-            else:
-                np.clip(x, 0.0, self._alpha, out=out)
-            return out
-        if out is None:
-            return x.copy()
-        np.copyto(out, x)
-        return out
+    def bind(self, x, ws, backend, slots):
+        # Single-pass clip/max into the step's buffer — instead of
+        # copy-then-in-place — then the staircase runs in place on it.
+        out = ws.buffer((self.key, "act", x.shape, x.dtype.str), x.shape, x.dtype)
+        return out, _activation_calls(x, out, self._relu, self._alpha, self._step)
 
 
 class _SigmoidStep(_Step):
@@ -930,15 +966,15 @@ class _SigmoidStep(_Step):
     this step.
     """
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        out = None
-        if ws is not None:
-            out = ws.buffer((self.key, "sig", x.shape, x.dtype.str), x.shape, x.dtype)
-        out = np.negative(x, out=out)
-        np.exp(out, out=out)
-        np.add(out, 1.0, out=out)
-        np.divide(1.0, out, out=out)
-        return out
+    def bind(self, x, ws, backend, slots):
+        out = ws.buffer((self.key, "sig", x.shape, x.dtype.str), x.shape, x.dtype)
+        one = _scalar(1.0, out)
+        return out, (
+            (np.negative, (x, out)),
+            (np.exp, (out, out)),
+            (np.add, (out, one, out)),
+            (np.divide, (one, out, out)),
+        )
 
 
 class _ChannelSliceStep(_Step):
@@ -955,65 +991,75 @@ class _ChannelSliceStep(_Step):
         self.stop = int(stop)
         self.channel_major = channel_major
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def bind(self, x, ws, backend, slots):
         if self.channel_major:
-            return x[self.start : self.stop]
-        return x[:, self.start : self.stop]
+            return x[self.start : self.stop], ()
+        return x[:, self.start : self.stop], ()
 
 
-class _MaxPoolStep(_Step):
+class _PoolStep(_Step):
+    """Max or average pooling; the backend kernel treats the two leading
+    axes as batch, so it serves both the NCHW and channel-major layouts."""
+
+    kernel_name = ""
+
     def __init__(self, kernel: int, stride: int) -> None:
         self.kernel = (int(kernel), int(kernel))
         self.stride = (int(stride), int(stride))
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        # pool_max treats the two leading axes as batch, so the same kernel
-        # serves both the NCHW and channel-major layouts.
-        return backend.pool_max(x, self.kernel, self.stride, workspace=ws, key=self.key)
+    def bind(self, x, ws, backend, slots):
+        bind_pool = getattr(backend, self.kernel_name)
+        return bind_pool(x, self.kernel, self.stride, ws, self.key)
 
 
-class _AvgPoolStep(_Step):
-    def __init__(self, kernel: int, stride: int) -> None:
-        self.kernel = (int(kernel), int(kernel))
-        self.stride = (int(stride), int(stride))
+class _MaxPoolStep(_PoolStep):
+    kernel_name = "bind_pool_max"
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        return backend.pool_avg(x, self.kernel, self.stride, workspace=ws, key=self.key)
+
+class _AvgPoolStep(_PoolStep):
+    kernel_name = "bind_pool_avg"
 
 
 class _GlobalAvgPoolStep(_Step):
     def __init__(self, channel_major: bool) -> None:
         self.channel_major = channel_major
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        if ws is None:
-            pooled = x.mean(axis=(2, 3))
-            return pooled.T if self.channel_major else pooled
+    def bind(self, x, ws, backend, slots):
         a0, a1 = x.shape[0], x.shape[1]
         pooled = ws.buffer((self.key, "gap0", (a0, a1), x.dtype.str), (a0, a1), x.dtype)
-        np.mean(x, axis=(2, 3), out=pooled)
+        # np.mean(x, axis=(2, 3), out=pooled) as its two ufunc calls: the
+        # sum, then a divide by the intp element count.
+        count = np.asarray(x.shape[2] * x.shape[3], dtype=np.intp)
+        calls = [
+            (np.add.reduce, (x, (2, 3), None, pooled)),
+            (np.true_divide, (pooled, count, pooled)),
+        ]
         if not self.channel_major:
-            return pooled
+            return pooled, tuple(calls)
         # Transpose-copy so the downstream linear gets a contiguous operand.
         out = ws.buffer((self.key, "gap1", (a1, a0), x.dtype.str), (a1, a0), x.dtype)
-        np.copyto(out, pooled.T)
-        return out
+        calls.append((np.copyto, (out, pooled.T)))
+        return out, tuple(calls)
 
 
 class _FlattenStep(_Step):
     def __init__(self, channel_major: bool) -> None:
         self.channel_major = channel_major
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def bind(self, x, ws, backend, slots):
         if self.channel_major:
-            if ws is not None and x.ndim == 4:
-                c, n, h, w = x.shape
-                shape = (n, c * h * w)
-                out = ws.buffer((self.key, "flat", shape, x.dtype.str), shape, x.dtype)
-                np.copyto(out.reshape(n, c, h, w), x.transpose(1, 0, 2, 3))
-                return out
-            x = x.transpose(1, 0, 2, 3)
-        return x.reshape(x.shape[0], -1)
+            c, n, h, w = x.shape
+            shape = (n, c * h * w)
+            out = ws.buffer((self.key, "flat", shape, x.dtype.str), shape, x.dtype)
+            return out, ((np.copyto, (out.reshape(n, c, h, w), x.transpose(1, 0, 2, 3))),)
+        shape = (x.shape[0], int(np.prod(x.shape[1:])))
+        view = x.reshape(shape)
+        if np.may_share_memory(view, x):
+            return view, ()
+        # Strides that allow no flat view (a channel slice, say): the bound
+        # calls must read the live input, so copy it in on every run.
+        out = ws.buffer((self.key, "flat", shape, x.dtype.str), shape, x.dtype)
+        return out, ((np.copyto, (out.reshape(x.shape), x)),)
 
 
 # --------------------------------------------------------------------------- #
@@ -1031,7 +1077,7 @@ class _RefModuleStep(_Step):
     def __init__(self, module: Module) -> None:
         self.module = module
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def run(self, x, backend, state):
         return self.module(Tensor(x)).data
 
 
@@ -1047,7 +1093,7 @@ class _RefIntegerStep(_Step):
 
         self._export = export_layer("plan", self.layer)
 
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def run(self, x, backend, state):
         from ..quant.integer_inference import integer_conv2d, integer_linear
 
         if self._export.kind == "conv2d":
@@ -1056,7 +1102,7 @@ class _RefIntegerStep(_Step):
 
 
 class _RefFlattenStep(_Step):
-    def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
+    def run(self, x, backend, state):
         return x.reshape(x.shape[0], -1)
 
 
@@ -1177,18 +1223,35 @@ class _StepProfiler:
         self.total_s[key] = self.total_s.get(key, 0.0) + seconds
 
 
-def _detach(x, ws: Optional[PlanWorkspace]):
+def _detach(out):
     """A run's result, made caller-owned.
 
-    An arena-backed result is copied out, because the next run overwrites
-    every buffer.  This copy is the one intentional per-run allocation and
-    is excluded from the run_allocations counter by design.  Reference
-    plans (no arena) already return fresh arrays, and a multi-output plan's
-    :class:`_OutputsStep` copies its dict entries itself.
+    An optimized plan's result lives in its arena, which the next run
+    overwrites, so it is copied out — entry by entry for a multi-output
+    plan, whose channel-major entries are NCHW views.  This copy is the one
+    intentional per-run allocation and is excluded from the run_allocations
+    counter by design.  A reference plan's result is copied the same way,
+    so both flavours hand back arrays nothing else references.
     """
-    if ws is None or isinstance(x, dict):
-        return x
-    return np.array(x)
+    if isinstance(out, dict):
+        return {name: np.array(part, order="C") for name, part in out.items()}
+    return np.array(out)
+
+
+@dataclass
+class _Schedule:
+    """An optimized plan bound at one input shape.
+
+    ``input`` is the arena buffer a run copies its request into, ``calls``
+    the flat ``(callable, args)`` list the hot loop replays, ``steps`` the
+    same calls grouped per step with the step's input and output (what the
+    observed loop times and shows its observers), ``output`` the result.
+    """
+
+    input: np.ndarray
+    calls: Calls
+    steps: Tuple[Tuple[_Step, object, object, Calls], ...]
+    output: object
 
 
 # --------------------------------------------------------------------------- #
@@ -1226,6 +1289,10 @@ class InferencePlan:
         self._workspace: Optional[PlanWorkspace] = PlanWorkspace() if optimized else None
         for index, step in enumerate(self.steps):
             step.key = f"s{index}"
+        # Bound schedules of an optimized plan, one per (input shape, dtype,
+        # backend), and the arena eviction count they were bound under.
+        self._schedules: Dict[Tuple, _Schedule] = {}
+        self._evictions_seen = 0
         # Opt-in observers: the per-step profiler and a quantization-health
         # tap.  While any is attached, run() hands each run to the observed
         # loop; the hot loop itself carries no per-step branch.
@@ -1734,62 +1801,116 @@ class InferencePlan:
         """Re-resolve weights, folded affines and clipping levels.
 
         Runs under ``no_grad`` so quantized weights are served from the
-        version-keyed cache when unchanged.
+        version-keyed cache when unchanged.  Drops every bound schedule:
+        they hold the old constants, so the next run at each shape binds
+        again.
         """
+        self._schedules.clear()
         with no_grad():
             for step in self.steps:
                 step.refresh()
 
-    def run(self, x: np.ndarray) -> np.ndarray:
+    def run(self, x: np.ndarray):
         """Execute the plan on one raw batch (no autograd, no module dispatch).
 
-        Optimized plans route every intermediate through their preallocated
-        arena, so a primed steady-state run performs zero array allocations;
-        the returned logits are copied out of the arena and caller-owned.
-        Reference plans run the same loop without an arena; they replay
-        module forwards, so the model must be in eval mode (the engine
-        guarantees this; call ``model.eval()`` first when running a plan
-        directly).
+        An optimized plan binds its steps on the first run at an input shape
+        (see :meth:`_Step.bind`) and afterwards only copies the request into
+        the schedule's input buffer, replays the bound numpy calls and copies
+        the result out — a primed steady-state run performs no set-up work
+        and zero arena allocations; the returned logits are caller-owned.
+        Reference plans run their steps one by one without an arena; they
+        replay module forwards, so the model must be in eval mode (the
+        engine guarantees this; call ``model.eval()`` first when running a
+        plan directly).
         Concurrent runs of the same plan must be serialised — the engine's
         per-instance lock does this.
         """
+        observers: Tuple[object, ...] = ()
         if self._observers:
-            active = tuple(observer for observer in self._observers if observer.begin_run())
-            if active:
-                return self._run_observed(x, active)
-        backend = get_backend()
-        ws = self._workspace
-        state: Dict[str, np.ndarray] = {}
-        with no_grad():
-            if ws is not None:
-                ws.begin_run()
-            for step in self.steps:
-                x = step.run(x, backend, state, ws)
-        return _detach(x, ws)
+            observers = tuple(observer for observer in self._observers if observer.begin_run())
+        if self._workspace is None:
+            return _detach(self._run_reference(x, observers))
+        schedule = self._schedule(x)
+        np.copyto(schedule.input, x)
+        if observers:
+            self._replay_observed(schedule, observers)
+        else:
+            for fn, args in schedule.calls:
+                fn(*args)
+        return _detach(schedule.output)
 
-    def _run_observed(self, x: np.ndarray, observers: Tuple[object, ...]) -> np.ndarray:
-        """run() with every step timed and shown to ``observers``.
+    def _schedule(self, x: np.ndarray) -> _Schedule:
+        """The bound schedule for ``x``'s shape, binding it on first use.
+
+        Every arena eviction drops every schedule, because a schedule may
+        hold the evicted buffer; a bind that itself evicted is used for this
+        run and not kept.
+        """
+        ws = self._workspace
+        ws.begin_run()
+        if ws.evictions != self._evictions_seen:
+            self._schedules.clear()
+        backend = get_backend()
+        key = (x.shape, x.dtype, backend)
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            schedule = self._bind(x.shape, x.dtype, backend)
+            if ws.evictions == self._evictions_seen:
+                self._schedules[key] = schedule
+        self._evictions_seen = ws.evictions
+        return schedule
+
+    def _bind(self, shape, dtype, backend) -> _Schedule:
+        ws = self._workspace
+        x = ws.buffer(("input", shape, dtype.str), shape, dtype)
+        entry = x
+        slots: Dict[str, np.ndarray] = {}
+        steps = []
+        for step in self.steps:
+            out, calls = step.bind(x, ws, backend, slots)
+            if ws.evictions != self._evictions_seen:
+                # Drop the schedules at once, not after the whole bind, so
+                # the evicted buffers go now: binding a new shape into a
+                # full arena must not hold two shapes' buffers at its peak.
+                self._schedules.clear()
+            steps.append((step, x, out, calls))
+            x = out
+        flat = tuple(call for _, _, _, calls in steps for call in calls)
+        return _Schedule(entry, flat, tuple(steps), x)
+
+    @staticmethod
+    def _replay_observed(schedule: _Schedule, observers: Tuple[object, ...]) -> None:
+        """The hot loop with every step timed and shown to ``observers``.
 
         Each observer's ``observe(step, inputs, out, seconds)`` is called
-        after the step completes; ``seconds`` covers ``step.run`` alone, so
-        one observer's work never lands in a step's time.  Observers only
-        read the buffers, so the outputs are bitwise-identical to run()'s.
+        after the step's calls complete; ``seconds`` covers those calls
+        alone, so one observer's work never lands in a step's time.
+        Observers only read the buffers, so the outputs are
+        bitwise-identical to the hot loop's.
         """
+        clock = time.perf_counter
+        for step, inputs, out, calls in schedule.steps:
+            start = clock()
+            for fn, args in calls:
+                fn(*args)
+            seconds = clock() - start
+            for observer in observers:
+                observer.observe(step, inputs, out, seconds)
+
+    def _run_reference(self, x: np.ndarray, observers: Tuple[object, ...]):
+        """A reference plan's run: each step in turn, timed for ``observers``."""
         backend = get_backend()
-        ws = self._workspace
         state: Dict[str, np.ndarray] = {}
         clock = time.perf_counter
         with no_grad():
-            if ws is not None:
-                ws.begin_run()
             for step in self.steps:
                 start = clock()
-                out = step.run(x, backend, state, ws)
+                out = step.run(x, backend, state)
                 seconds = clock() - start
                 for observer in observers:
                     observer.observe(step, x, out, seconds)
                 x = out
-        return _detach(x, ws)
+        return x
 
     def _set_observers(self, profile: bool, tap) -> None:
         self._health_tap = tap
@@ -1859,6 +1980,7 @@ class InferencePlan:
         if self._workspace is not None:
             out["workspace"] = self._workspace.stats()
             out["steady_state_allocations"] = self._workspace.run_allocations
+            out["bound_schedules"] = len(self._schedules)
         return out
 
     def __repr__(self) -> str:

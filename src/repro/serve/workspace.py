@@ -1,29 +1,36 @@
 """Per-plan preallocated buffer arena: zero-allocation steady-state serving.
 
 A compiled :class:`~repro.serve.plan.InferencePlan` owns one
-:class:`PlanWorkspace`.  Every step routes its output accumulator and every
-backend kernel routes its scratch (channel-major columns, pooled windows,
-layout copies) through :meth:`PlanWorkspace.buffer`,
-keyed by the step's position in the plan plus the buffer's role and full
-geometry.  The first run through a new batch shape allocates each buffer
-exactly once ("priming", which ``InferenceEngine.warmup()`` does eagerly);
-every subsequent run with the same shape reuses them all, so steady-state
-``predict`` performs **zero** array allocations on the hot path — the only
-array a run creates is the returned logits copy, which must be caller-owned
-by contract.
+:class:`PlanWorkspace`.  The plan binds its steps once per input shape:
+on the first run at a shape every step, and every bind-time backend kernel
+(``bind_int_conv2d`` and kin), takes its output accumulator and its scratch
+(channel-major columns, pooled windows, layout copies) from
+:meth:`PlanWorkspace.buffer`, keyed by the step's position in the plan plus
+the buffer's role and full geometry, and bakes the buffers and views into
+a schedule of numpy calls.  That first run allocates each buffer exactly
+once ("priming", which ``InferenceEngine.warmup()`` does eagerly); every
+later run at the same shape replays the schedule and asks the arena for
+nothing, so steady-state ``predict`` performs **zero** array allocations —
+the only array a run creates is the returned logits copy, which must be
+caller-owned by contract.
 
 The :attr:`run_allocations` counter (reset by :meth:`begin_run`, surfaced
 as ``plan_report()["steady_state_allocations"]`` and asserted to be zero in
-CI) counts buffer-table misses during the current run, which makes the
-zero-allocation property *observable* rather than aspirational: any step or
-kernel change that silently starts allocating per call shows up as a
-non-zero counter.
+CI) counts buffer-table misses during the current run, so a bind that has
+to allocate shows up as a non-zero counter.
+
+Schedules hold arena buffers by reference, so the arena and the schedules
+follow one drop rule: the arena counts its :attr:`evictions` (a
+:meth:`clear` evicts every buffer), and the plan drops every bound schedule
+whenever that count moves, as well as on ``refresh()``.  A schedule thus
+never keeps a buffer alive that the arena has let go, and never holds
+constants older than the last refresh; the next run at its shape binds
+again, from whatever buffers are still resident.
 
 The arena is single-writer: a plan run mutates its buffers, so concurrent
 runs of the *same* plan must be serialised (the engine holds a per-engine
 lock).  Distinct plans own distinct arenas, which is what makes two engines
-predicting concurrently on the shared backend instance safe — the hazard
-the old per-backend scratch keys had.
+predicting concurrently on the shared backend instance safe.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ class PlanWorkspace:
         #: Buffers allocated since the last :meth:`begin_run` — zero in
         #: steady state once the arena is primed for the batch shape.
         self.run_allocations = 0
+        #: Buffers the arena has let go (cap evictions plus :meth:`clear`).
+        self.evictions = 0
 
     def begin_run(self) -> None:
         """Mark the start of one plan execution (resets the run counter)."""
@@ -75,6 +84,7 @@ class PlanWorkspace:
             buf = np.zeros(shape, dtype=dtype) if zero_on_alloc else np.empty(shape, dtype=dtype)
             if len(self._buffers) >= self.max_buffers:
                 self._buffers.pop(next(iter(self._buffers)))
+                self.evictions += 1
             self._buffers[full_key] = buf
             self.total_allocations += 1
             self.run_allocations += 1
@@ -82,6 +92,7 @@ class PlanWorkspace:
 
     def clear(self) -> None:
         """Drop every buffer (e.g. after a plan re-trace)."""
+        self.evictions += len(self._buffers)
         self._buffers.clear()
 
     @property
@@ -99,6 +110,7 @@ class PlanWorkspace:
             "megabytes": round(self.nbytes / 2**20, 3),
             "total_allocations": self.total_allocations,
             "run_allocations": self.run_allocations,
+            "evictions": self.evictions,
         }
 
     def __repr__(self) -> str:

@@ -133,18 +133,25 @@ def test_fused_kernels_are_thread_safe_on_a_shared_backend(rng):
     assert not failures
 
 
+def _replay(calls):
+    for fn, args in calls:
+        fn(*args)
+
+
 @pytest.mark.parametrize("n", [4, 9, 33])
 def test_plan_chunked_int_conv_matches_unchunked(rng, n):
-    """The plan's arena walk of the shared chunk loop, tail chunk included."""
+    """The plan's bound chunk schedule on arena buffers, tail chunk included."""
     fast = FastNumpyBackend()
     x = rng.integers(0, 8, size=(n, 8, 20, 17)).astype(np.float32)
     w_mat = rng.integers(-7, 8, size=(16, 8 * 9)).astype(np.float32)
     args = ((3, 3), (1, 1), (1, 1))
-    want = fast.int_conv2d(x, w_mat, *args, scale=0.5)
     workspace = PlanWorkspace()
-    got = fast.int_conv2d(x, w_mat, *args, scale=0.5, workspace=workspace, key="conv")
-    assert _bits(got) == _bits(want)
+    out, calls = fast.bind_int_conv2d(x, w_mat, *args, 0.5, None, workspace, "conv")
+    _replay(calls)
+    assert _bits(out) == _bits(fast.int_conv2d(x, w_mat, *args, scale=0.5))
     buffers = workspace.num_buffers
-    again = fast.int_conv2d(x, w_mat, *args, scale=0.5, workspace=workspace, key="conv")
-    assert _bits(again) == _bits(want)
+    # A replay reads the bound input afresh: new values, same calls.
+    x[...] = rng.integers(0, 8, size=x.shape)
+    _replay(calls)
+    assert _bits(out) == _bits(fast.int_conv2d(x, w_mat, *args, scale=0.5))
     assert workspace.num_buffers == buffers

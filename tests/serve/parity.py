@@ -406,6 +406,22 @@ class FlattenAfterDivisionNet(QuantizableModel):
         return self.classifier((self.conv(x) / 2.0).flatten(1))
 
 
+class FlattenAfterScaleNet(FlattenAfterDivisionNet):
+    """``fc((conv(x) * 0.5).flatten(1))``: scalar-multiply glue before the
+    inferred flatten."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.classifier((self.conv(x) * 0.5).flatten(1))
+
+
+class FlattenAfterShiftNet(FlattenAfterDivisionNet):
+    """``fc((conv(x) + 0.5).flatten(1))``: scalar-add glue before the
+    inferred flatten."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.classifier((self.conv(x) + 0.5).flatten(1))
+
+
 class MendableNet(UntraceableNet):
     """Starts with the division join; flip ``mended`` to use a supported one.
 

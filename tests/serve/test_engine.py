@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from repro.nn.tensor import no_grad
 from repro.quant import IntegerInferenceSession
 from repro.serve import InferenceEngine, InferencePlan, PlanTraceError
 
-from .parity import FlattenAfterDivisionNet, MendableNet, UntraceableNet
+from .parity import (
+    FlattenAfterDivisionNet,
+    FlattenAfterScaleNet,
+    FlattenAfterShiftNet,
+    MendableNet,
+    UntraceableNet,
+)
 
 
 def _warmed_model(builder, shape, rng, **kwargs):
@@ -223,8 +231,8 @@ class TestStalenessCheck:
         assert len(calls) == 2
 
     def test_bn_statistics_updates_are_caught(self, cnn, rng):
-        # Running-stat updates bump no version counter; the token's BN sums
-        # must catch them anyway.
+        # A training-mode forward moves the running stats and bumps each
+        # BatchNorm's stats_version, which the token reads.
         x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
         engine = InferenceEngine(cnn)
         before = engine.predict_logits(x)
@@ -233,6 +241,30 @@ class TestStalenessCheck:
         cnn.eval()
         after = engine.predict_logits(x)
         assert np.abs(after - before).max() > 1e-4
+
+    def test_permuted_bn_statistics_load_is_caught(self, cnn, rng):
+        """Statistics with the same sums are still a different state."""
+        x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
+        engine = InferenceEngine(cnn)
+        engine.predict_logits(x)
+        permuted = {}
+        for name, value in cnn.state_dict().items():
+            if not name.endswith(("running_mean", "running_var")):
+                continue
+            # Swap the first pair of unequal entries whose swap leaves the
+            # float sum bit for bit unchanged.
+            for i, j in itertools.combinations(range(value.size), 2):
+                swapped = value.copy()
+                swapped[[i, j]] = value[[j, i]]
+                if value[i] != value[j] and swapped.sum() == value.sum():
+                    permuted[name] = swapped
+                    break
+        assert permuted
+        cnn.load_state_dict(permuted)
+        np.testing.assert_array_equal(
+            engine.predict_logits(x), InferenceEngine(cnn).predict_logits(x)
+        )
+
 
 class TestFallbackBoundary:
     """Only genuinely unsupported glue is refused; residual graphs compile."""
@@ -319,12 +351,28 @@ class TestRefusal:
         with pytest.raises(PlanTraceError, match="division"):
             InferenceEngine(model).predict_logits(np.empty((0, 3, 8, 8), dtype=np.float32))
 
-    @pytest.mark.parametrize("mode", ["float", "integer"])
-    def test_division_before_inferred_flatten_is_refused(self, rng, mode):
+    @pytest.mark.parametrize(
+        "mode, net, op",
+        [
+            pytest.param("float", FlattenAfterDivisionNet, "division", id="float"),
+            pytest.param("integer", FlattenAfterDivisionNet, "division", id="integer"),
+            pytest.param(
+                "float", FlattenAfterScaleNet, "scalar multiplication", id="float-scalar-mul"
+            ),
+            pytest.param(
+                "integer", FlattenAfterScaleNet, "scalar multiplication", id="integer-scalar-mul"
+            ),
+            pytest.param("float", FlattenAfterShiftNet, "scalar addition", id="float-scalar-add"),
+            pytest.param(
+                "integer", FlattenAfterShiftNet, "scalar addition", id="integer-scalar-add"
+            ),
+        ],
+    )
+    def test_division_before_inferred_flatten_is_refused(self, rng, mode, net, op):
         """Glue arithmetic between a traced value and a flatten is not skipped."""
-        model = _warmed_model(lambda: FlattenAfterDivisionNet(), (3, 4, 4), rng)
+        model = _warmed_model(net, (3, 4, 4), rng)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
-        with pytest.raises(PlanTraceError, match="division"):
+        with pytest.raises(PlanTraceError, match=op):
             InferenceEngine(model, mode=mode).predict_logits(x)
 
 
