@@ -58,6 +58,34 @@ def _output_hw(shape, kernel: IntPair, stride: IntPair, padding: IntPair) -> Int
     )
 
 
+#: Accumulators of at most this many elements get full-size per-channel
+#: operands from :func:`expand_channel_operands` (at most 64 KiB each).  On
+#: ResNet18-w0.125 (2 cores, 1 BLAS thread) full-size operands cut a batch-1
+#: run's epilogues by 0.05 ms (float) and 0.10 ms (integer), but saved under
+#: 1% of a batch-64 run while taking 19-38 MiB per bound shape, so larger
+#: accumulators keep broadcast operands.
+EXPAND_MAX_ELEMENTS = 16384
+
+
+def expand_channel_operands(acc: np.ndarray, operands) -> Tuple[np.ndarray, ...]:
+    """The per-channel ``operands`` (each broadcastable to ``acc``) a bound
+    call applies to ``acc``: full-size copies while ``acc`` is small.
+
+    numpy runs a ufunc with a broadcast operand through its buffered
+    iterator, which allocates its buffers and takes 2-3x the time of the
+    same ufunc on equal shapes.  The expanded operands hold the same values,
+    so the products and sums are the same bits.  Only for bound schedules,
+    which keep the copies across runs; a per-call kernel would pay for them
+    on every call.
+    """
+    if acc.size > EXPAND_MAX_ELEMENTS:
+        return tuple(operands)
+    return tuple(
+        op if op.ndim == 0 else np.ascontiguousarray(np.broadcast_to(op, acc.shape))
+        for op in operands
+    )
+
+
 def _copy_result(out: np.ndarray, kernel: Callable, args: tuple) -> None:
     np.copyto(out, kernel(*args))
 
@@ -418,12 +446,6 @@ class ArrayBackend:
     # defaults wrap the per-call kernel as one call that writes into an
     # arena buffer, so a backend that overrides none of them replays its
     # per-call numbers exactly.
-    def bound_channel_operands(self, acc: np.ndarray, operands) -> Tuple[np.ndarray, ...]:
-        """The per-channel ``operands`` (each broadcastable to ``acc``) a
-        bound call should apply to ``acc`` — possibly re-laid out for speed,
-        never with other values."""
-        return tuple(operands)
-
     def bind_int_conv2d(
         self, x, w_mat, kernel: IntPair, stride: IntPair, padding: IntPair,
         scale, bias, workspace, key,

@@ -60,7 +60,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .base import ArrayBackend, IntPair, conv_output_size
+from .base import ArrayBackend, IntPair, conv_output_size, expand_channel_operands
 
 __all__ = ["FastNumpyBackend"]
 
@@ -653,23 +653,10 @@ class FastNumpyBackend(ArrayBackend):
     # ------------------------------------------------------------------ #
     # bind-time kernels (compiled plans; see ArrayBackend.bind_int_conv2d)
     # ------------------------------------------------------------------ #
-    # numpy runs a ufunc with a broadcast operand through its buffered
-    # iterator, which allocates its buffers and takes 2-3x the time of the
-    # same ufunc on equal shapes.  Up to this many elements a bound call
-    # gets its per-channel operands as full-size constants instead: the
-    # same element-wise products and sums, for at most 64 KiB per operand.
-    _EXPAND_MAX_ELEMENTS = 16384
-
-    def bound_channel_operands(self, acc: np.ndarray, operands):
-        if acc.size > self._EXPAND_MAX_ELEMENTS:
-            return tuple(operands)
-        return tuple(
-            op if op.ndim == 0 else np.ascontiguousarray(np.broadcast_to(op, acc.shape))
-            for op in operands
-        )
-
-    def _scale_bias_calls(self, acc: np.ndarray, scale, bias, channel_axis: int) -> list:
-        """In-place calls applying the distributed scale and per-channel bias."""
+    @staticmethod
+    def _scale_bias_calls(acc: np.ndarray, scale, bias, channel_axis: int, workspace) -> list:
+        """In-place calls applying the distributed scale and per-channel bias
+        (operands expanded for a compiled plan's arena, not a _CallArena)."""
         shape = [1] * acc.ndim
         shape[channel_axis] = -1
         ops, calls = [], []
@@ -678,7 +665,8 @@ class FastNumpyBackend(ArrayBackend):
                 arr = np.asarray(value, dtype=acc.dtype)
                 ops.append(arr.reshape(shape) if arr.ndim else arr)
                 calls.append(ufunc)
-        ops = self.bound_channel_operands(acc, ops)
+        if not isinstance(workspace, _CallArena):
+            ops = expand_channel_operands(acc, ops)
         return [(ufunc, (acc, op, acc)) for ufunc, op in zip(calls, ops)]
 
     @staticmethod
@@ -730,7 +718,7 @@ class FastNumpyBackend(ArrayBackend):
                 for i, j, oi, oj, ri, rj in slices:
                     calls.append((np.copyto, (buffer[:m, :, i, j, oi, oj], xs[:, :, ri, rj])))
                 calls.append((np.matmul, (w_mat, cols[:m], acc[s : s + m])))
-        calls += self._scale_bias_calls(acc, scale, bias, 1)
+        calls += self._scale_bias_calls(acc, scale, bias, 1, workspace)
         return acc.reshape(n, oc, oh, ow), tuple(calls)
 
     def bind_int_conv2d_cm(self, x_cm, w_mat, kernel, stride, padding, scale, bias, workspace, key):
@@ -763,7 +751,7 @@ class FastNumpyBackend(ArrayBackend):
         out_dtype = np.result_type(w_mat.dtype, cols2d.dtype)
         acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
         calls.append((np.matmul, (w_mat, cols2d, acc)))
-        calls += self._scale_bias_calls(acc, scale, bias, 0)
+        calls += self._scale_bias_calls(acc, scale, bias, 0, workspace)
         return acc.reshape(oc, n, oh, ow), tuple(calls)
 
     def bind_int_linear(self, x, w, scale, bias, workspace, key):
@@ -771,7 +759,7 @@ class FastNumpyBackend(ArrayBackend):
         shape = x.shape[:-1] + (w.shape[0],)
         acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
         calls = [(np.matmul, (x, w.T, acc))]
-        calls += self._scale_bias_calls(acc, scale, bias, acc.ndim - 1)
+        calls += self._scale_bias_calls(acc, scale, bias, acc.ndim - 1, workspace)
         return acc, tuple(calls)
 
     # kh*kw strided elementwise passes beat a reduction over a 6-D

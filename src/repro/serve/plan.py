@@ -61,11 +61,12 @@ reference plans), so a structural mis-compile can never serve silently
 wrong numbers.
 
 An optimized plan executes **bound**: on the first run at an input shape it
-binds every step (see :meth:`_Step.bind`) into one flat schedule of
-``(callable, args)`` numpy calls over its arena's buffers and views, and
-every later run at that shape just replays the schedule.  ``refresh()``
+binds every step (see :meth:`_Step.bind`) into a schedule: each step's
+``(callable, args)`` numpy calls over its arena's buffers and views.
+Every later run at that shape just replays the schedule.  ``refresh()``
 and any arena eviction drop the schedules (see
-:mod:`repro.serve.workspace`).
+:mod:`repro.serve.workspace`); ``describe()`` counts the runs that bound
+(``binds``) and the runs that replayed (``replays``).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ except ImportError:  # NumPy 1.x
     from numpy.core.umath import clip as _clip
 
 from ..backend import get_backend
-from ..backend.base import Calls
+from ..backend.base import Calls, expand_channel_operands
 from ..nn.modules import (
     AvgPool2d,
     BatchNorm2d,
@@ -934,7 +935,7 @@ class _BatchNormStep(_Step):
     def bind(self, x, ws, backend, slots):
         dtype = np.result_type(x.dtype, self._scale.dtype)
         out = ws.buffer((self.key, "bn", x.shape, dtype.str), x.shape, dtype)
-        scale, bias = backend.bound_channel_operands(out, (self._scale, self._bias))
+        scale, bias = expand_channel_operands(out, (self._scale, self._bias))
         return out, ((np.multiply, (x, scale, out)), (np.add, (out, bias, out)))
 
 
@@ -1242,14 +1243,13 @@ def _detach(out):
 class _Schedule:
     """An optimized plan bound at one input shape.
 
-    ``input`` is the arena buffer a run copies its request into, ``calls``
-    the flat ``(callable, args)`` list the hot loop replays, ``steps`` the
-    same calls grouped per step with the step's input and output (what the
-    observed loop times and shows its observers), ``output`` the result.
+    ``input`` is the arena buffer a run copies its request into, ``steps``
+    each step with its input, its output and the ``(callable, args)`` calls
+    that fill the output (the observed loop times each step's calls and
+    shows its observers the step), ``output`` the result.
     """
 
     input: np.ndarray
-    calls: Calls
     steps: Tuple[Tuple[_Step, object, object, Calls], ...]
     output: object
 
@@ -1290,9 +1290,12 @@ class InferencePlan:
         for index, step in enumerate(self.steps):
             step.key = f"s{index}"
         # Bound schedules of an optimized plan, one per (input shape, dtype,
-        # backend), and the arena eviction count they were bound under.
+        # backend), the arena eviction count they were bound under, and how
+        # many runs bound a schedule and how many replayed a resident one.
         self._schedules: Dict[Tuple, _Schedule] = {}
         self._evictions_seen = 0
+        self._binds = 0
+        self._replays = 0
         # Opt-in observers: the per-step profiler and a quantization-health
         # tap.  While any is attached, run() hands each run to the observed
         # loop; the hot loop itself carries no per-step branch.
@@ -1835,8 +1838,9 @@ class InferencePlan:
         if observers:
             self._replay_observed(schedule, observers)
         else:
-            for fn, args in schedule.calls:
-                fn(*args)
+            for _, _, _, calls in schedule.steps:
+                for fn, args in calls:
+                    fn(*args)
         return _detach(schedule.output)
 
     def _schedule(self, x: np.ndarray) -> _Schedule:
@@ -1850,13 +1854,17 @@ class InferencePlan:
         ws.begin_run()
         if ws.evictions != self._evictions_seen:
             self._schedules.clear()
+            self._evictions_seen = ws.evictions
         backend = get_backend()
         key = (x.shape, x.dtype, backend)
         schedule = self._schedules.get(key)
-        if schedule is None:
-            schedule = self._bind(x.shape, x.dtype, backend)
-            if ws.evictions == self._evictions_seen:
-                self._schedules[key] = schedule
+        if schedule is not None:
+            self._replays += 1
+            return schedule
+        self._binds += 1
+        schedule = self._bind(x.shape, x.dtype, backend)
+        if ws.evictions == self._evictions_seen:
+            self._schedules[key] = schedule
         self._evictions_seen = ws.evictions
         return schedule
 
@@ -1875,8 +1883,7 @@ class InferencePlan:
                 self._schedules.clear()
             steps.append((step, x, out, calls))
             x = out
-        flat = tuple(call for _, _, _, calls in steps for call in calls)
-        return _Schedule(entry, flat, tuple(steps), x)
+        return _Schedule(entry, tuple(steps), x)
 
     @staticmethod
     def _replay_observed(schedule: _Schedule, observers: Tuple[object, ...]) -> None:
@@ -1980,7 +1987,9 @@ class InferencePlan:
         if self._workspace is not None:
             out["workspace"] = self._workspace.stats()
             out["steady_state_allocations"] = self._workspace.run_allocations
-            out["bound_schedules"] = len(self._schedules)
+            # Runs that bound their shape's schedule vs replayed a resident one.
+            out["binds"] = self._binds
+            out["replays"] = self._replays
         return out
 
     def __repr__(self) -> str:

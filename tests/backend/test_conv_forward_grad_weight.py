@@ -140,18 +140,26 @@ def _replay(calls):
 
 @pytest.mark.parametrize("n", [4, 9, 33])
 def test_plan_chunked_int_conv_matches_unchunked(rng, n):
-    """The plan's bound chunk schedule on arena buffers, tail chunk included."""
+    """The plan's bound chunk schedule on arena buffers, tail chunk included,
+    against one unchunked GEMM (exact: small integer operands, scale 0.5)."""
     fast = FastNumpyBackend()
     x = rng.integers(0, 8, size=(n, 8, 20, 17)).astype(np.float32)
     w_mat = rng.integers(-7, 8, size=(16, 8 * 9)).astype(np.float32)
     args = ((3, 3), (1, 1), (1, 1))
+    chunk = fast._conv_chunk_samples(n, w_mat.shape[1], 20 * 17)
+    assert (chunk < n) == (n > 4)  # 9 and 33 run chunked, with a tail chunk
+
+    def unchunked():
+        cols = fast.im2col(x, *args)[0].reshape(n, w_mat.shape[1], -1)
+        return (np.matmul(w_mat, cols) * np.float32(0.5)).reshape(n, 16, 20, 17)
+
     workspace = PlanWorkspace()
     out, calls = fast.bind_int_conv2d(x, w_mat, *args, 0.5, None, workspace, "conv")
     _replay(calls)
-    assert _bits(out) == _bits(fast.int_conv2d(x, w_mat, *args, scale=0.5))
+    assert _bits(out) == _bits(unchunked())
     buffers = workspace.num_buffers
     # A replay reads the bound input afresh: new values, same calls.
     x[...] = rng.integers(0, 8, size=x.shape)
     _replay(calls)
-    assert _bits(out) == _bits(fast.int_conv2d(x, w_mat, *args, scale=0.5))
+    assert _bits(out) == _bits(unchunked())
     assert workspace.num_buffers == buffers

@@ -38,6 +38,12 @@ def _fresh_logits(model, shape, mode, x):
     return plan.run(x)
 
 
+def _counts(plan, since=(0, 0)):
+    """(binds, replays) of ``plan`` since the counts ``since``."""
+    report = plan.describe()
+    return report["binds"] - since[0], report["replays"] - since[1]
+
+
 def _lower_bits(model):
     layers = model.quantizable_layers()
     model.apply_assignment(
@@ -99,11 +105,16 @@ class TestReplayAfterModelChanges:
     def test_refresh_drops_every_schedule(self, rng):
         model, shape = random_quantized_model(2)
         plan = InferencePlan.trace(model, shape)
-        for n in (1, 2, 3):
-            plan.run(rng.standard_normal((n, *shape)).astype(np.float32))
-        assert plan.describe()["bound_schedules"] == 3
+        plan.refresh()  # drop what the trace's own verification bound
+        start = _counts(plan)
+        batches = [rng.standard_normal((n, *shape)).astype(np.float32) for n in (1, 2, 3)]
+        for batch in batches + batches:
+            plan.run(batch)
+        assert _counts(plan, start) == (3, 3)
         plan.refresh()
-        assert plan.describe()["bound_schedules"] == 0
+        for batch in batches:
+            plan.run(batch)
+        assert _counts(plan, start) == (6, 3)
 
 
 class _TrackingWorkspace(PlanWorkspace):
@@ -130,6 +141,7 @@ class TestEvictionDropsSchedules:
         ws = plan._workspace = _TrackingWorkspace(max_buffers=max(8, per_shape + per_shape // 2))
         batches = {n: rng.standard_normal((n, *shape)).astype(np.float32) for n in range(1, 10)}
         want = {n: reference.run(batch) for n, batch in batches.items()}
+        start = _counts(plan)
         for _ in range(2):
             for n, batch in batches.items():
                 got = plan.run(batch)
@@ -144,19 +156,24 @@ class TestEvictionDropsSchedules:
                 )
                 assert leaked == 0, "a bound schedule keeps an evicted arena buffer alive"
         assert ws.evictions > 0
-        assert plan.describe()["bound_schedules"] <= 9
+        binds, replays = _counts(plan, start)
+        assert binds + replays == 18
+        assert binds > 9  # evictions forced rebinds
 
     def test_clear_drops_schedules_and_rebinds(self, rng):
         model, shape = random_quantized_model(1)
         plan = InferencePlan.trace(model, shape)
         x = rng.standard_normal((3, *shape)).astype(np.float32)
         want = plan.run(x)
+        start = _counts(plan)
         plan.workspace.clear()
         got = plan.run(x)
         assert plan.workspace.run_allocations > 0  # it bound again, from scratch
         np.testing.assert_array_equal(got, want)
         plan.run(x)
         assert plan.workspace.run_allocations == 0
+        # The bind after the clear evicted nothing, so it was kept.
+        assert _counts(plan, start) == (1, 1)
 
 
 class TestSteadyStateReplay:
