@@ -63,10 +63,11 @@ wrong numbers.
 An optimized plan executes **bound**: on the first run at an input shape it
 binds every step (see :meth:`_Step.bind`) into a schedule: each step's
 ``(callable, args)`` numpy calls over its arena's buffers and views.
-Every later run at that shape just replays the schedule.  ``refresh()``
-and any arena eviction drop the schedules (see
-:mod:`repro.serve.workspace`); ``describe()`` counts the runs that bound
-(``binds``) and the runs that replayed (``replays``).
+Every later run at that shape just replays the schedule.  When the arena
+is full, a bind evicts the least recently used schedules with their
+buffers; ``refresh()`` and any other arena eviction drop every schedule
+(see :mod:`repro.serve.workspace`).  ``describe()`` counts the runs that
+bound (``binds``) and the runs that replayed (``replays``).
 """
 
 from __future__ import annotations
@@ -1246,12 +1247,14 @@ class _Schedule:
     ``input`` is the arena buffer a run copies its request into, ``steps``
     each step with its input, its output and the ``(callable, args)`` calls
     that fill the output (the observed loop times each step's calls and
-    shows its observers the step), ``output`` the result.
+    shows its observers the step), ``output`` the result, ``keys`` the
+    arena keys of every buffer the schedule holds.
     """
 
     input: np.ndarray
     steps: Tuple[Tuple[_Step, object, object, Calls], ...]
     output: object
+    keys: frozenset = frozenset()
 
 
 # --------------------------------------------------------------------------- #
@@ -1290,10 +1293,12 @@ class InferencePlan:
         for index, step in enumerate(self.steps):
             step.key = f"s{index}"
         # Bound schedules of an optimized plan, one per (input shape, dtype,
-        # backend), the arena eviction count they were bound under, and how
-        # many runs bound a schedule and how many replayed a resident one.
+        # backend), least recently used first; the arena eviction count they
+        # were bound under; the most arena buffers one bind has taken; and
+        # how many runs bound a schedule and how many replayed a resident one.
         self._schedules: Dict[Tuple, _Schedule] = {}
         self._evictions_seen = 0
+        self._bind_buffers = 0
         self._binds = 0
         self._replays = 0
         # Opt-in observers: the per-step profiler and a quantization-health
@@ -1846,9 +1851,12 @@ class InferencePlan:
     def _schedule(self, x: np.ndarray) -> _Schedule:
         """The bound schedule for ``x``'s shape, binding it on first use.
 
-        Every arena eviction drops every schedule, because a schedule may
-        hold the evicted buffer; a bind that itself evicted is used for this
-        run and not kept.
+        Before a bind the plan makes room for it in the arena by evicting
+        whole schedules, least recently used first (:meth:`_make_room`).
+        An eviction it did not make (the arena's cap backstop or a
+        ``clear()``) drops every schedule, because a schedule may hold the
+        evicted buffer; a bind during which the arena evicted is used for
+        this run and not kept.
         """
         ws = self._workspace
         ws.begin_run()
@@ -1857,16 +1865,39 @@ class InferencePlan:
             self._evictions_seen = ws.evictions
         backend = get_backend()
         key = (x.shape, x.dtype, backend)
-        schedule = self._schedules.get(key)
+        schedule = self._schedules.pop(key, None)
         if schedule is not None:
+            self._schedules[key] = schedule  # now the most recently used
             self._replays += 1
             return schedule
         self._binds += 1
+        self._make_room(self._bind_buffers)
         schedule = self._bind(x.shape, x.dtype, backend)
+        schedule.keys = frozenset(ws.run_keys)
+        self._bind_buffers = max(self._bind_buffers, len(schedule.keys))
         if ws.evictions == self._evictions_seen:
             self._schedules[key] = schedule
         self._evictions_seen = ws.evictions
         return schedule
+
+    def _make_room(self, buffers: int) -> None:
+        """Evict until ``buffers`` more arena buffers fit under the cap.
+
+        The oldest buffers no schedule holds go first, then whole
+        schedules, least recently used first, each with the buffers no other
+        schedule holds.  The shapes a server keeps forming stay bound, and
+        the arena's own cap eviction, which drops every schedule, stays a
+        backstop.
+        """
+        ws = self._workspace
+        while True:
+            excess = ws.num_buffers + buffers - ws.max_buffers
+            if excess > 0:
+                ws.release(excess, set().union(*(s.keys for s in self._schedules.values())))
+            if ws.num_buffers + buffers <= ws.max_buffers or not self._schedules:
+                break
+            del self._schedules[next(iter(self._schedules))]
+        self._evictions_seen = ws.evictions
 
     def _bind(self, shape, dtype, backend) -> _Schedule:
         ws = self._workspace

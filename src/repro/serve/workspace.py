@@ -19,13 +19,19 @@ as ``plan_report()["steady_state_allocations"]`` and asserted to be zero in
 CI) counts buffer-table misses during the current run, so a bind that has
 to allocate shows up as a non-zero counter.
 
-Schedules hold arena buffers by reference, so the arena and the schedules
-follow one drop rule: the arena counts its :attr:`evictions` (a
-:meth:`clear` evicts every buffer), and the plan drops every bound schedule
-whenever that count moves, as well as on ``refresh()``.  A schedule thus
-never keeps a buffer alive that the arena has let go, and never holds
-constants older than the last refresh; the next run at its shape binds
-again, from whatever buffers are still resident.
+Schedules hold arena buffers by reference, so the plan evicts by
+schedule, not by buffer.  A bind records the keys it took
+(:attr:`run_keys`); before a bind that may not fit under the cap, the plan
+lets go of the oldest buffers no schedule holds, then of its least
+recently used schedules, each with the buffers only it holds
+(:meth:`release`).
+Hot batch shapes thus stay bound while the cap holds, and the arena's own
+first-in-first-out eviction is only a backstop.  Should it, or a
+:meth:`clear`, let go of a buffer (the arena counts its :attr:`evictions`),
+the plan drops every bound schedule, as it does on ``refresh()``.  A
+schedule thus never keeps a buffer alive that the arena has let go, and
+never holds constants older than the last refresh; the next run at its
+shape binds again, from whatever buffers are still resident.
 
 The arena is single-writer: a plan run mutates its buffers, so concurrent
 runs of the *same* plan must be serialised (the engine holds a per-engine
@@ -57,12 +63,16 @@ class PlanWorkspace:
         #: Buffers allocated since the last :meth:`begin_run` — zero in
         #: steady state once the arena is primed for the batch shape.
         self.run_allocations = 0
-        #: Buffers the arena has let go (cap evictions plus :meth:`clear`).
+        #: Buffers the arena has let go (cap evictions, :meth:`release`
+        #: and :meth:`clear`).
         self.evictions = 0
+        #: Full keys of the buffers handed out since the last :meth:`begin_run`.
+        self.run_keys: list = []
 
     def begin_run(self) -> None:
-        """Mark the start of one plan execution (resets the run counter)."""
+        """Mark the start of one plan execution (resets the run counters)."""
         self.run_allocations = 0
+        self.run_keys.clear()
 
     def buffer(
         self, key, shape: Tuple[int, ...], dtype, zero_on_alloc: bool = False
@@ -88,7 +98,14 @@ class PlanWorkspace:
             self._buffers[full_key] = buf
             self.total_allocations += 1
             self.run_allocations += 1
+        self.run_keys.append(full_key)
         return buf
+
+    def release(self, count: int, keep) -> None:
+        """Let go of the ``count`` oldest buffers whose full keys are not in ``keep``."""
+        for full_key in [k for k in self._buffers if k not in keep][:count]:
+            del self._buffers[full_key]
+            self.evictions += 1
 
     def clear(self) -> None:
         """Drop every buffer (e.g. after a plan re-trace)."""

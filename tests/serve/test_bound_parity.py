@@ -32,6 +32,14 @@ def _bits(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array).tobytes()
 
 
+def _assert_same_bits(got, want, label: str) -> None:
+    """Bitwise equality of two plan results (arrays, or dicts of them)."""
+    for name in got if isinstance(got, dict) else [None]:
+        g = got if name is None else got[name]
+        w = want if name is None else want[name]
+        assert _bits(g) == _bits(w), f"{label} ({name})"
+
+
 def _fresh_logits(model, shape, mode, x):
     """What a plan traced from scratch on the model's current state serves."""
     plan = InferencePlan.trace(model, shape, mode=mode)
@@ -144,11 +152,7 @@ class TestEvictionDropsSchedules:
         start = _counts(plan)
         for _ in range(2):
             for n, batch in batches.items():
-                got = plan.run(batch)
-                for name in (got if isinstance(got, dict) else [None]):
-                    g = got if name is None else got[name]
-                    w = want[n] if name is None else want[n][name]
-                    assert _bits(g) == _bits(w), f"batch {n} ({name})"
+                _assert_same_bits(plan.run(batch), want[n], f"batch {n}")
                 gc.collect()
                 resident = {id(buf) for buf in ws._buffers.values()}
                 leaked = sum(
@@ -159,6 +163,27 @@ class TestEvictionDropsSchedules:
         binds, replays = _counts(plan, start)
         assert binds + replays == 18
         assert binds > 9  # evictions forced rebinds
+
+    def test_hot_shape_stays_bound_while_cold_shapes_cycle(self, rng):
+        """A full arena evicts the least recently used schedule, not all."""
+        model, shape = random_quantized_model(2)
+        reference = InferencePlan.trace(model, shape)
+        plan = InferencePlan.trace(model, shape)
+        per_shape = reference.workspace.num_buffers
+        # Room for two batch shapes, not three.
+        ws = plan._workspace = _TrackingWorkspace(max_buffers=2 * per_shape + per_shape // 2)
+        plan.refresh()  # drop the schedules the trace bound on the old arena
+        sizes = [1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1]
+        batches = {n: rng.standard_normal((n, *shape)).astype(np.float32) for n in set(sizes)}
+        start = _counts(plan)
+        for n in sizes:
+            _assert_same_bits(plan.run(batches[n]), reference.run(batches[n]), f"batch {n}")
+        gc.collect()
+        resident = {id(buf) for buf in ws._buffers.values()}
+        assert not [ref for ref in ws.handed_out if ref() is not None and id(ref()) not in resident]
+        assert ws.evictions > 0
+        # Batch 1 bound once; each cold shape once, evicting the one before.
+        assert _counts(plan, start) == (6, 5)
 
     def test_clear_drops_schedules_and_rebinds(self, rng):
         model, shape = random_quantized_model(1)

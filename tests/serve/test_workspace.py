@@ -44,6 +44,20 @@ class TestPlanWorkspace:
         ws.buffer("c", (1,), np.float32)
         assert ws.num_buffers == 2
 
+    def test_release_lets_go_of_the_oldest_unkept_buffers(self):
+        ws = PlanWorkspace()
+        for name in "abcd":
+            ws.buffer(name, (1,), np.float32)
+        kept = ws.run_keys[0]  # "a": the oldest, but kept
+        ws.release(2, keep={kept})
+        assert ws.num_buffers == 2 and ws.evictions == 2
+        ws.begin_run()
+        ws.buffer("a", (1,), np.float32)
+        ws.buffer("d", (1,), np.float32)
+        assert ws.run_allocations == 0  # "a" and "d" stayed
+        ws.buffer("b", (1,), np.float32)
+        assert ws.run_allocations == 1  # "b" went
+
     def test_stats_shape(self):
         ws = PlanWorkspace()
         ws.buffer("a", (8,), np.float32)
