@@ -93,8 +93,7 @@ def _copy_result(out: np.ndarray, kernel: Callable, args: tuple) -> None:
 def _bind_per_call(workspace, key, shape, dtype, kernel: Callable, *args) -> Bound:
     """One call that runs a per-call ``kernel`` and copies its result into
     an arena buffer."""
-    dtype = np.dtype(dtype)
-    out = workspace.buffer((key, "acc", shape, dtype.str), shape, dtype)
+    out = workspace.buffer((key, "acc"), shape, dtype)
     return out, ((_copy_result, (out, kernel, args)),)
 
 

@@ -676,7 +676,7 @@ class FastNumpyBackend(ArrayBackend):
         shape = (sub.shape[0], int(np.prod(sub.shape[1:])))
         if sub.flags["C_CONTIGUOUS"]:
             return sub.reshape(shape)
-        buf = workspace.buffer((key, "pw", shape, sub.dtype.str), shape, sub.dtype)
+        buf = workspace.buffer((key, "pw"), shape, sub.dtype)
         calls.append((np.copyto, (buf.reshape(sub.shape), sub)))
         return buf
 
@@ -695,7 +695,7 @@ class FastNumpyBackend(ArrayBackend):
         oh, ow = self._output_geometry(x.shape, kernel, stride, padding)
         shape = (n, oc, oh * ow)
         out_dtype = np.result_type(w_mat.dtype, x.dtype)
-        acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+        acc = workspace.buffer((key, "acc"), shape, out_dtype)
         step = self._conv_chunk_samples(n, fan_in, oh * ow)
         calls = []
         if (kh, kw) == (1, 1) and padding == (0, 0):
@@ -706,9 +706,9 @@ class FastNumpyBackend(ArrayBackend):
                 calls.append((np.matmul, (w_mat, cols[s : s + step], acc[s : s + step])))
         else:
             chunk = (step, c, kh, kw, oh, ow)
-            buffer = workspace.buffer(
-                ("i2c_nb", chunk, stride, padding, (h, w), x.dtype.str), chunk, x.dtype,
-                zero_on_alloc=True,
+            buffer = workspace.zeroed(
+                ("i2c_nb", chunk[1:], stride, padding, (h, w), x.dtype.str), chunk, x.dtype,
+                0, calls,
             )
             cols = buffer.reshape(step, c * kh * kw, oh * ow)
             slices = self._window_slices(h, w, oh, ow, kernel, stride, padding)
@@ -740,16 +740,16 @@ class FastNumpyBackend(ArrayBackend):
             cols2d = self._bind_pointwise_cols(sub, workspace, key, calls)
         else:
             shape = (c, kh, kw, n, oh, ow)
-            cols = workspace.buffer(
-                ("i2c_cm", shape, stride, padding, (h, w), x_cm.dtype.str), shape, x_cm.dtype,
-                zero_on_alloc=True,
+            cols = workspace.zeroed(
+                ("i2c_cm", (c, kh, kw, oh, ow), stride, padding, (h, w), x_cm.dtype.str),
+                shape, x_cm.dtype, 3, calls,
             )
             for i, j, oi, oj, ri, rj in self._window_slices(h, w, oh, ow, kernel, stride, padding):
                 calls.append((np.copyto, (cols[:, i, j, :, oi, oj], x_cm[:, :, ri, rj])))
             cols2d = cols.reshape(c * kh * kw, n * oh * ow)
         shape = (oc, cols2d.shape[1])
         out_dtype = np.result_type(w_mat.dtype, cols2d.dtype)
-        acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+        acc = workspace.buffer((key, "acc"), shape, out_dtype)
         calls.append((np.matmul, (w_mat, cols2d, acc)))
         calls += self._scale_bias_calls(acc, scale, bias, 0, workspace)
         return acc.reshape(oc, n, oh, ow), tuple(calls)
@@ -757,7 +757,7 @@ class FastNumpyBackend(ArrayBackend):
     def bind_int_linear(self, x, w, scale, bias, workspace, key):
         out_dtype = np.result_type(x.dtype, w.dtype)
         shape = x.shape[:-1] + (w.shape[0],)
-        acc = workspace.buffer((key, "acc", shape, out_dtype.str), shape, out_dtype)
+        acc = workspace.buffer((key, "acc"), shape, out_dtype)
         calls = [(np.matmul, (x, w.T, acc))]
         calls += self._scale_bias_calls(acc, scale, bias, acc.ndim - 1, workspace)
         return acc, tuple(calls)
@@ -775,7 +775,7 @@ class FastNumpyBackend(ArrayBackend):
             for j in range(kw)
         ]
         shape = x.shape[:2] + (oh, ow)
-        out = workspace.buffer((key, "pool", shape, x.dtype.str), shape, x.dtype)
+        out = workspace.buffer((key, "pool"), shape, x.dtype)
         into_out = functools.partial(combine, out=out)  # maximum deprecates a positional out
         calls = [(np.copyto, (out, windows[0]))]
         calls += [(into_out, (out, window)) for window in windows[1:]]
@@ -794,14 +794,16 @@ class FastNumpyBackend(ArrayBackend):
 
 class _CallArena:
     """The arena a per-call kernel binds on.  Zero-bordered column blocks
-    are thread-local scratch — their zero border is an invariant, so reuse
-    is free; every other buffer is fresh, because the result leaves the
-    call."""
+    are thread-local scratch, one per full shape — their zero border is an
+    invariant, so reuse is free; every other buffer is fresh, because the
+    result leaves the call."""
 
     def __init__(self, backend: FastNumpyBackend) -> None:
         self._backend = backend
 
-    def buffer(self, key, shape, dtype, zero_on_alloc: bool = False) -> np.ndarray:
-        if zero_on_alloc:
-            return self._backend._scratch_buffer(key, tuple(shape), np.dtype(dtype), True)
+    def buffer(self, key, shape, dtype) -> np.ndarray:
         return np.empty(shape, dtype=dtype)
+
+    def zeroed(self, key, shape, dtype, batch_axis: int, calls: list) -> np.ndarray:
+        shape = tuple(shape)
+        return self._backend._scratch_buffer((key, shape), shape, np.dtype(dtype), True)

@@ -269,9 +269,10 @@ class InferenceEngine:
         * the backend's channel-major threshold is calibrated (see
           :meth:`~repro.backend.fast_numpy.FastNumpyBackend.calibrate_cm_max_positions`;
           a ``REPRO_CM_MAX_POSITIONS`` env pin skips measurement);
-        * the plan is bound and its workspace arena primed with one run at
-          the engine's batch size, so steady-state ``predict`` starts at
-          zero allocations from the very first request.
+        * the plan is bound and its workspace arena sized with one run at
+          ``min(batch_size, 64)``, so every batch up to that size starts at
+          zero allocations from the very first request.  A later, larger
+          run grows the arena's slabs once and binds every shape again.
         """
         if input_shape is None:
             hint = getattr(self.model, "example_input_shape", None)
@@ -291,7 +292,7 @@ class InferenceEngine:
             self._ensure_plan((1, *tuple(input_shape)))
             self._refresh_plan(force=False)
             probe = np.zeros((min(self.batch_size, 64), *tuple(input_shape)), dtype=np.float32)
-            # Prime the arena for the serving batch shape.
+            # Size the arena for every batch up to the probe's.
             self._plan.run(probe)
         return self
 

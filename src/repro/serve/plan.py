@@ -63,11 +63,13 @@ wrong numbers.
 An optimized plan executes **bound**: on the first run at an input shape it
 binds every step (see :meth:`_Step.bind`) into a schedule: each step's
 ``(callable, args)`` numpy calls over its arena's buffers and views.
-Every later run at that shape just replays the schedule.  When the arena
-is full, a bind evicts the least recently used schedules with their
-buffers; ``refresh()`` and any other arena eviction drop every schedule
-(see :mod:`repro.serve.workspace`).  ``describe()`` counts the runs that
-bound (``binds``) and the runs that replayed (``replays``).
+Every later run at that shape just replays the schedule.  The buffers
+are views of the plan's arena, whose slabs are sized once for the largest
+batch the plan has run and shared between steps whose values are never
+live together (see :mod:`repro.serve.workspace`); so every shape stays
+bound, until ``refresh()`` or a run larger than the slabs drops every
+schedule.  ``describe()`` counts the runs that bound (``binds``) and the
+runs that replayed (``replays``).
 """
 
 from __future__ import annotations
@@ -541,7 +543,10 @@ class _Step:
     calls that fill it, which the plan replays on every run at that shape.
     Steps whose output is a view of their input (layout flips, slices,
     saves and loads) bind no calls at all.  Every buffer comes from the
-    arena, keyed by the step's :attr:`key`.
+    arena, under a role keyed by the step's :attr:`key`, and is read or
+    written only by the step's own calls, unless the step returns it (or a
+    view of it) as its output or saves it in ``slots``: the arena shares
+    slabs by exactly those lifetimes.
 
     Reference plans (``optimize=False``) have no arena; their steps
     implement ``run(x, backend, state)`` instead, called on every run with a
@@ -584,7 +589,7 @@ class _LayoutFlipView(_Step):
 class _ToBatchMajor(_Step):
     def bind(self, x, ws, backend, slots):
         shape = (x.shape[1], x.shape[0]) + x.shape[2:]
-        out = ws.buffer((self.key, "tbm", shape, x.dtype.str), shape, x.dtype)
+        out = ws.buffer((self.key, "tbm"), shape, x.dtype)
         return out, ((np.copyto, (out, x.transpose(1, 0, 2, 3))),)
 
 
@@ -651,7 +656,7 @@ class _JoinStep(_Step):
         if self.inplace and x.flags.writeable:
             out = x
         else:
-            out = ws.buffer((self.key, self.role, x.shape, x.dtype.str), x.shape, x.dtype)
+            out = ws.buffer((self.key, self.role), x.shape, x.dtype)
         return out, ((self.ufunc, (x, branch, out)),)
 
 
@@ -712,7 +717,7 @@ class _ConcatStep(_Step):
         shape = list(arrays[0].shape)
         shape[axis] = sum(a.shape[axis] for a in arrays)
         shape = tuple(shape)
-        out = ws.buffer((self.key, "cat", shape, arrays[0].dtype.str), shape, arrays[0].dtype)
+        out = ws.buffer((self.key, "cat"), shape, arrays[0].dtype)
         calls = []
         offset = 0
         for part in arrays:
@@ -935,7 +940,7 @@ class _BatchNormStep(_Step):
 
     def bind(self, x, ws, backend, slots):
         dtype = np.result_type(x.dtype, self._scale.dtype)
-        out = ws.buffer((self.key, "bn", x.shape, dtype.str), x.shape, dtype)
+        out = ws.buffer((self.key, "bn"), x.shape, dtype)
         scale, bias = expand_channel_operands(out, (self._scale, self._bias))
         return out, ((np.multiply, (x, scale, out)), (np.add, (out, bias, out)))
 
@@ -955,7 +960,7 @@ class _ActivationStep(_Step):
     def bind(self, x, ws, backend, slots):
         # Single-pass clip/max into the step's buffer — instead of
         # copy-then-in-place — then the staircase runs in place on it.
-        out = ws.buffer((self.key, "act", x.shape, x.dtype.str), x.shape, x.dtype)
+        out = ws.buffer((self.key, "act"), x.shape, x.dtype)
         return out, _activation_calls(x, out, self._relu, self._alpha, self._step)
 
 
@@ -969,7 +974,7 @@ class _SigmoidStep(_Step):
     """
 
     def bind(self, x, ws, backend, slots):
-        out = ws.buffer((self.key, "sig", x.shape, x.dtype.str), x.shape, x.dtype)
+        out = ws.buffer((self.key, "sig"), x.shape, x.dtype)
         one = _scalar(1.0, out)
         return out, (
             (np.negative, (x, out)),
@@ -1028,7 +1033,7 @@ class _GlobalAvgPoolStep(_Step):
 
     def bind(self, x, ws, backend, slots):
         a0, a1 = x.shape[0], x.shape[1]
-        pooled = ws.buffer((self.key, "gap0", (a0, a1), x.dtype.str), (a0, a1), x.dtype)
+        pooled = ws.buffer((self.key, "gap0"), (a0, a1), x.dtype)
         # np.mean(x, axis=(2, 3), out=pooled) as its two ufunc calls: the
         # sum, then a divide by the intp element count.
         count = np.asarray(x.shape[2] * x.shape[3], dtype=np.intp)
@@ -1039,7 +1044,7 @@ class _GlobalAvgPoolStep(_Step):
         if not self.channel_major:
             return pooled, tuple(calls)
         # Transpose-copy so the downstream linear gets a contiguous operand.
-        out = ws.buffer((self.key, "gap1", (a1, a0), x.dtype.str), (a1, a0), x.dtype)
+        out = ws.buffer((self.key, "gap1"), (a1, a0), x.dtype)
         calls.append((np.copyto, (out, pooled.T)))
         return out, tuple(calls)
 
@@ -1052,7 +1057,7 @@ class _FlattenStep(_Step):
         if self.channel_major:
             c, n, h, w = x.shape
             shape = (n, c * h * w)
-            out = ws.buffer((self.key, "flat", shape, x.dtype.str), shape, x.dtype)
+            out = ws.buffer((self.key, "flat"), shape, x.dtype)
             return out, ((np.copyto, (out.reshape(n, c, h, w), x.transpose(1, 0, 2, 3))),)
         shape = (x.shape[0], int(np.prod(x.shape[1:])))
         view = x.reshape(shape)
@@ -1060,7 +1065,7 @@ class _FlattenStep(_Step):
             return view, ()
         # Strides that allow no flat view (a channel slice, say): the bound
         # calls must read the live input, so copy it in on every run.
-        out = ws.buffer((self.key, "flat", shape, x.dtype.str), shape, x.dtype)
+        out = ws.buffer((self.key, "flat"), shape, x.dtype)
         return out, ((np.copyto, (out.reshape(x.shape), x)),)
 
 
@@ -1247,14 +1252,12 @@ class _Schedule:
     ``input`` is the arena buffer a run copies its request into, ``steps``
     each step with its input, its output and the ``(callable, args)`` calls
     that fill the output (the observed loop times each step's calls and
-    shows its observers the step), ``output`` the result, ``keys`` the
-    arena keys of every buffer the schedule holds.
+    shows its observers the step), ``output`` the result.
     """
 
     input: np.ndarray
     steps: Tuple[Tuple[_Step, object, object, Calls], ...]
     output: object
-    keys: frozenset = frozenset()
 
 
 # --------------------------------------------------------------------------- #
@@ -1293,12 +1296,9 @@ class InferencePlan:
         for index, step in enumerate(self.steps):
             step.key = f"s{index}"
         # Bound schedules of an optimized plan, one per (input shape, dtype,
-        # backend), least recently used first; the arena eviction count they
-        # were bound under; the most arena buffers one bind has taken; and
-        # how many runs bound a schedule and how many replayed a resident one.
+        # backend), and how many runs bound a schedule and how many replayed
+        # a resident one.
         self._schedules: Dict[Tuple, _Schedule] = {}
-        self._evictions_seen = 0
-        self._bind_buffers = 0
         self._binds = 0
         self._replays = 0
         # Opt-in observers: the per-step profiler and a quantization-health
@@ -1851,70 +1851,54 @@ class InferencePlan:
     def _schedule(self, x: np.ndarray) -> _Schedule:
         """The bound schedule for ``x``'s shape, binding it on first use.
 
-        Before a bind the plan makes room for it in the arena by evicting
-        whole schedules, least recently used first (:meth:`_make_room`).
-        An eviction it did not make (the arena's cap backstop or a
-        ``clear()``) drops every schedule, because a schedule may hold the
-        evicted buffer; a bind during which the arena evicted is used for
-        this run and not kept.
+        A bind that does not fit the arena's slabs (a batch above its
+        capacity, or a buffer that lives longer at this batch than the
+        slabs were laid out for) drops every schedule, has the arena lay
+        its slabs out again and binds anew.  A plan that grows past one
+        sample also records a batch-1 bind first, so batch 1 fits too.
         """
         ws = self._workspace
         ws.begin_run()
-        if ws.evictions != self._evictions_seen:
-            self._schedules.clear()
-            self._evictions_seen = ws.evictions
         backend = get_backend()
         key = (x.shape, x.dtype, backend)
-        schedule = self._schedules.pop(key, None)
+        schedule = self._schedules.get(key)
         if schedule is not None:
-            self._schedules[key] = schedule  # now the most recently used
             self._replays += 1
             return schedule
         self._binds += 1
-        self._make_room(self._bind_buffers)
-        schedule = self._bind(x.shape, x.dtype, backend)
-        schedule.keys = frozenset(ws.run_keys)
-        self._bind_buffers = max(self._bind_buffers, len(schedule.keys))
-        if ws.evictions == self._evictions_seen:
-            self._schedules[key] = schedule
-        self._evictions_seen = ws.evictions
+        schedule, fits = self._bind(x.shape, x.dtype, backend)
+        if not fits:
+            schedule = None
+            self._schedules.clear()
+            if x.shape[0] > 1:
+                self._bind((1,) + x.shape[1:], x.dtype, backend)
+            ws.allocate()
+            schedule, fits = self._bind(x.shape, x.dtype, backend)
+            if not fits:
+                raise RuntimeError("a plan bind does not fit the slabs laid out for it")
+        self._schedules[key] = schedule
         return schedule
 
-    def _make_room(self, buffers: int) -> None:
-        """Evict until ``buffers`` more arena buffers fit under the cap.
+    def _bind(self, shape, dtype, backend) -> Tuple[_Schedule, bool]:
+        """Bind every step at ``shape``; also says whether it fits the arena.
 
-        The oldest buffers no schedule holds go first, then whole
-        schedules, least recently used first, each with the buffers no other
-        schedule holds.  The shapes a server keeps forming stay bound, and
-        the arena's own cap eviction, which drops every schedule, stays a
-        backstop.
+        Before each step binds, the plan marks its input and every saved
+        slot live in the arena; the result is marked live to the end.
         """
         ws = self._workspace
-        while True:
-            excess = ws.num_buffers + buffers - ws.max_buffers
-            if excess > 0:
-                ws.release(excess, set().union(*(s.keys for s in self._schedules.values())))
-            if ws.num_buffers + buffers <= ws.max_buffers or not self._schedules:
-                break
-            del self._schedules[next(iter(self._schedules))]
-        self._evictions_seen = ws.evictions
-
-    def _bind(self, shape, dtype, backend) -> _Schedule:
-        ws = self._workspace
-        x = ws.buffer(("input", shape, dtype.str), shape, dtype)
+        ws.begin_bind(shape[0])
+        x = ws.buffer("input", shape, dtype)
         entry = x
         slots: Dict[str, np.ndarray] = {}
         steps = []
         for step in self.steps:
+            ws.touch(x, *slots.values())
             out, calls = step.bind(x, ws, backend, slots)
-            if ws.evictions != self._evictions_seen:
-                # Drop the schedules at once, not after the whole bind, so
-                # the evicted buffers go now: binding a new shape into a
-                # full arena must not hold two shapes' buffers at its peak.
-                self._schedules.clear()
             steps.append((step, x, out, calls))
             x = out
-        return _Schedule(entry, tuple(steps), x)
+            ws.next_step()
+        ws.touch(*(x.values() if isinstance(x, dict) else (x,)), *slots.values())
+        return _Schedule(entry, tuple(steps), x), ws.end_bind()
 
     @staticmethod
     def _replay_observed(schedule: _Schedule, observers: Tuple[object, ...]) -> None:
