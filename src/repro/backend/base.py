@@ -155,11 +155,11 @@ class ArrayBackend:
     def sign(self, x: np.ndarray) -> np.ndarray:
         return np.sign(x)
 
-    def clip(self, x: np.ndarray, low, high) -> np.ndarray:
-        return np.clip(x, low, high)
+    def clip(self, x: np.ndarray, low, high, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.clip(x, low, high, out=out)
 
-    def round(self, x: np.ndarray) -> np.ndarray:
-        return np.round(x)
+    def round(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.round(x, out=out)
 
     def maximum(self, a, b) -> np.ndarray:
         return np.maximum(a, b)

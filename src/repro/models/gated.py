@@ -20,7 +20,7 @@ import numpy as np
 
 from ..nn.modules import BatchNorm2d, ChannelSlice, GlobalAvgPool2d, Module, ReLU, Sigmoid
 from ..nn.tensor import Tensor
-from ..quant.pact import PACT
+from ..quant.pact import PACT, bn_pact
 from ..quant.qmodules import QConv2d, QLinear
 from .base import QuantizableModel
 
@@ -133,8 +133,7 @@ class GatedAttentionBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         attended = self.value_bn(self.value(x)) * self.gate_act(self.gate(x))
-        out = self.proj_bn(self.proj(attended)) + x
-        return self.act_out(out)
+        return bn_pact(self.proj_bn, self.act_out, self.proj(attended), x)
 
 
 class GatedAttentionNet(QuantizableModel):
@@ -217,7 +216,7 @@ class GatedAttentionNet(QuantizableModel):
             self.register_qlayer("aux", self.aux)
 
     def forward(self, x: Tensor):
-        x = self.stem_act(self.stem_bn(self.stem(x)))
+        x = bn_pact(self.stem_bn, self.stem_act, self.stem(x))
         for block in self.blocks:
             x = block(x)
         x = self.grouped_act(self.grouped_bn(self.grouped(x)))

@@ -21,7 +21,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.modules import BatchNorm2d, GlobalAvgPool2d, Module, ReLU
 from ..nn.tensor import Tensor
-from ..quant.pact import PACT
+from ..quant.pact import PACT, bn_pact
 from ..quant.qmodules import QConv2d, QLinear
 from .base import QuantizableModel
 
@@ -69,13 +69,14 @@ class BasicBlock(Module):
             self.downsample_bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        identity = x
-        out = self.act1(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        if self.downsample is not None:
-            identity = self.downsample_bn(self.downsample(x))
-        out = out + identity
-        return self.act_out(out)
+        out = bn_pact(self.bn1, self.act1, self.conv1(x))
+        out = self.conv2(out)
+        if self.downsample is None:
+            return bn_pact(self.bn2, self.act_out, out, x)
+        # The shortcut is built after bn2, in module order.
+        return bn_pact(
+            self.bn2, self.act_out, out, lambda: self.downsample_bn(self.downsample(x))
+        )
 
 
 class ResNet(QuantizableModel):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..nn.modules import BatchNorm2d, GlobalAvgPool2d, MaxPool2d, ReLU
 from ..nn.tensor import Tensor
-from ..quant.pact import PACT
+from ..quant.pact import PACT, bn_pact
 from ..quant.qmodules import QConv2d, QLinear
 from .base import QuantizableModel
 
@@ -77,8 +77,8 @@ class SimpleQuantCNN(QuantizableModel):
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.pool0(self.act0(self.bn0(self.conv0(x))))
-        x = self.pool1(self.act1(self.bn1(self.conv1(x))))
-        x = self.act2(self.bn2(self.conv2(x)))
+        x = self.pool1(bn_pact(self.bn1, self.act1, self.conv1(x)))
+        x = bn_pact(self.bn2, self.act2, self.conv2(x))
         x = self.pool(x)
         x = self.fc1_act(self.fc1(x))
         return self.classifier(x)

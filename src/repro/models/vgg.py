@@ -19,7 +19,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.modules import BatchNorm2d, Dropout, MaxPool2d, Module, ReLU
 from ..nn.tensor import Tensor
-from ..quant.pact import PACT
+from ..quant.pact import PACT, bn_pact
 from ..quant.qmodules import QConv2d, QLinear
 from .base import QuantizableModel
 
@@ -138,8 +138,16 @@ class VGG(QuantizableModel):
         self.register_qlayer("classifier", self.classifier, pinned=True, pinned_bits=pinned_bits)
 
     def forward(self, x: Tensor) -> Tensor:
-        for block in self.blocks:
-            x = block(x)
+        blocks = self.blocks
+        index = 0
+        while index < len(blocks):
+            block = blocks[index]
+            if isinstance(block, BatchNorm2d) and isinstance(blocks[index + 1], PACT):
+                x = bn_pact(block, blocks[index + 1], x)
+                index += 2
+            else:
+                x = block(x)
+                index += 1
         x = x.flatten(1)
         if self.dropout1 is not None:
             x = self.dropout1(x)

@@ -135,7 +135,8 @@ def conv2d(
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if x.requires_grad:
             x._accumulate(
-                backend.conv2d_grad_input(w_mat, grad_mat, x.data.shape, (kh, kw), stride, padding)
+                backend.conv2d_grad_input(w_mat, grad_mat, x.data.shape, (kh, kw), stride, padding),
+                handover=True,
             )
 
     return _result(out, parents, backward)
@@ -151,11 +152,11 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(backend.matmul(grad, weight.data))
+            x._accumulate(backend.matmul(grad, weight.data), handover=True)
         if weight.requires_grad:
-            weight._accumulate(backend.matmul(grad.T, x.data))
+            weight._accumulate(backend.matmul(grad.T, x.data), handover=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=0))
+            bias._accumulate(grad.sum(axis=0), handover=True)
 
     return _result(out, parents, backward)
 
@@ -180,7 +181,9 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        x._accumulate(backend.max_pool_backward(grad, argmax, x.data.shape, kernel, strides))
+        x._accumulate(
+            backend.max_pool_backward(grad, argmax, x.data.shape, kernel, strides), handover=True
+        )
 
     return _result(out, (x,), backward)
 
@@ -197,7 +200,7 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        x._accumulate(backend.avg_pool_backward(grad, x.data.shape, kernel, strides))
+        x._accumulate(backend.avg_pool_backward(grad, x.data.shape, kernel, strides), handover=True)
 
     return _result(out, (x,), backward)
 
@@ -210,6 +213,77 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # --------------------------------------------------------------------------- #
 # normalization
 # --------------------------------------------------------------------------- #
+def _bn_layout(x: np.ndarray) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Reduction axes and per-channel broadcast shape of a BatchNorm input."""
+    if x.ndim == 4:
+        return (0, 2, 3), (1, -1, 1, 1)
+    if x.ndim == 2:
+        return (0,), (1, -1)
+    raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
+
+
+def _bn_normalize(
+    x: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    momentum: float,
+    eps: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Return ``(x_hat, inv_std)``; in training, update the running stats.
+
+    ``x_hat`` is a fresh array.  The BatchNorm forward of :func:`batch_norm`
+    and of the fused ``quant.pact.bn_pact`` node, so both give the same bits.
+    """
+    axes, shape = _bn_layout(x)
+    count = x.size // x.shape[1]
+    if training:
+        # The centred input is computed once and serves both the variance
+        # (the same reduction np.var runs, so the same bits) and x_hat.
+        mean = x.mean(axis=axes)
+        centred = x - mean.reshape(shape)
+        var = np.square(centred).sum(axis=axes) / count
+        unbiased = var * count / max(count - 1.0, 1.0)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    else:
+        centred = x - running_mean.reshape(shape)
+        var = running_var
+
+    inv_std = 1.0 / get_backend().sqrt(var + eps)
+    x_hat = np.multiply(centred, inv_std.reshape(shape), out=centred)
+    return x_hat, inv_std
+
+
+def _bn_backward(
+    grad: np.ndarray,
+    x_hat: np.ndarray,
+    gamma: np.ndarray,
+    inv_std: np.ndarray,
+    training: bool,
+    want_dx: bool,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Return fresh ``(dgamma, dbeta, dx)``; ``dx`` is ``None`` unless wanted."""
+    axes, shape = _bn_layout(x_hat)
+    sum_gx = (grad * x_hat).sum(axis=axes)
+    sum_g = grad.sum(axis=axes)
+    if not want_dx:
+        return sum_gx, sum_g, None
+    if training:
+        # dx = gamma * inv_std * (g - sum(g)/m - x_hat * sum(g * x_hat)/m),
+        # built in place from the two sums dgamma and dbeta already took.
+        count = x_hat.size // x_hat.shape[1]
+        dx = x_hat * (sum_gx / count).reshape(shape)
+        np.subtract(grad, dx, out=dx)
+        dx -= (sum_g / count).reshape(shape)
+        dx *= (gamma * inv_std).reshape(shape)
+    else:
+        dx = grad * gamma.reshape(shape) * inv_std.reshape(shape)
+    return sum_gx, sum_g, dx
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -225,56 +299,21 @@ def batch_norm(
     ``running_mean``/``running_var`` are updated in place during training so
     that module state mirrors PyTorch semantics.
     """
-    backend = get_backend()
-    if x.data.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-    elif x.data.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-    else:
-        raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.data.ndim}-D")
-
-    count = x.data.size // x.data.shape[1]
-    if training:
-        # The centred input is computed once and serves both the variance
-        # (the same reduction np.var runs, so the same bits) and x_hat.
-        mean = x.data.mean(axis=axes)
-        centred = x.data - mean.reshape(shape)
-        var = np.square(centred).sum(axis=axes) / count
-        unbiased = var * count / max(count - 1.0, 1.0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    else:
-        centred = x.data - running_mean.reshape(shape)
-        var = running_var
-
-    inv_std = 1.0 / backend.sqrt(var + eps)
-    x_hat = np.multiply(centred, inv_std.reshape(shape), out=centred)
+    _axes, shape = _bn_layout(x.data)
+    x_hat, inv_std = _bn_normalize(x.data, running_mean, running_var, training, momentum, eps)
     out = gamma.data.reshape(shape) * x_hat
     out += beta.data.reshape(shape)
 
     def backward(grad: np.ndarray) -> None:
-        sum_gx = (grad * x_hat).sum(axis=axes)
-        sum_g = grad.sum(axis=axes)
+        dgamma, dbeta, dx = _bn_backward(
+            grad, x_hat, gamma.data, inv_std, training, x.requires_grad
+        )
         if gamma.requires_grad:
-            gamma._accumulate(sum_gx)
+            gamma._accumulate(dgamma, handover=True)
         if beta.requires_grad:
-            beta._accumulate(sum_g)
-        if not x.requires_grad:
-            return
-        if training:
-            # dx = gamma * inv_std * (g - sum(g)/m - x_hat * sum(g * x_hat)/m),
-            # built in place from the two sums dgamma and dbeta already took.
-            dx = x_hat * (sum_gx / count).reshape(shape)
-            np.subtract(grad, dx, out=dx)
-            dx -= (sum_g / count).reshape(shape)
-            dx *= (gamma.data * inv_std).reshape(shape)
-        else:
-            dx = grad * gamma.data.reshape(shape) * inv_std.reshape(shape)
-        x._accumulate(dx)
+            beta._accumulate(dbeta, handover=True)
+        if dx is not None:
+            x._accumulate(dx, handover=True)
 
     return _result(out, (x, gamma, beta), backward)
 

@@ -245,21 +245,33 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad`` (allocating on first use)."""
+    def _accumulate(self, grad: np.ndarray, handover: bool = False) -> None:
+        """Add ``grad`` into ``self.grad`` (allocating on first use).
+
+        By default the first gradient is copied, because the caller may
+        share it: ``add`` passes one gradient to both parents, ``reshape``
+        and ``transpose`` pass views, and the STE passes the quantized
+        weight's own ``.grad``, which NBG reads later.  ``handover=True``
+        is for an array the closure allocated itself and does not read
+        again: it becomes ``self.grad`` (or joins the deferred queue) as is,
+        and later gradients are added into it in place.  A handed-over view
+        (a padded conv gradient's interior) is still copied when it becomes
+        ``self.grad``, so every gradient stays contiguous, as a reduction
+        over it needs to keep its bits, and does not pin its larger base.
+        """
         if not self.requires_grad:
             return
         grad = unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         pending = _DEFERRED.pending
         if pending is not None and self in pending:
             # Queue behind the deferred gradient, keeping the summation order.
-            pending[self].append(grad.copy())
+            pending[self].append(grad if handover else grad.copy())
             return
-        self._add_grad(grad)
+        self._add_grad(grad, handover)
 
-    def _add_grad(self, grad: np.ndarray) -> None:
+    def _add_grad(self, grad: np.ndarray, handover: bool = False) -> None:
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if handover and grad.flags.c_contiguous else grad.copy()
         else:
             self.grad += grad
 
@@ -269,18 +281,23 @@ class Tensor:
         Inside a running :meth:`backward` the gradient is computed on the
         background gradient thread and added when the backward joins it;
         called anywhere else (a closure run directly) it is computed inline.
+        ``compute`` returns a freshly allocated array, which is handed over.
         """
         if not self.requires_grad:
             return
         pending = _DEFERRED.pending
         if pending is None:
-            self._accumulate(compute())
+            self._accumulate(compute(), handover=True)
             return
         pending.setdefault(self, []).append(_grad_executor().submit(compute))
 
     @staticmethod
     def _join_deferred(pending: Dict["Tensor", List]) -> None:
-        """Add every queued gradient in order; re-raise the first failure."""
+        """Add every queued gradient in order; re-raise the first failure.
+
+        Every entry is owned by the queue (a deferred result, or an inline
+        gradient copied or handed over on arrival), so each is handed over.
+        """
         error: Optional[Exception] = None
         for tensor, entries in pending.items():
             for entry in entries:
@@ -291,7 +308,8 @@ class Tensor:
                     continue
                 if error is None:
                     tensor._add_grad(
-                        unbroadcast(np.asarray(grad, dtype=tensor.data.dtype), tensor.data.shape)
+                        unbroadcast(np.asarray(grad, dtype=tensor.data.dtype), tensor.data.shape),
+                        handover=True,
                     )
         pending.clear()
         if error is not None:
@@ -504,7 +522,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, handover=True)
 
         return self._make_result(out_data, (self,), backward)
 

@@ -9,7 +9,7 @@ from .integer_inference import (
     integer_linear,
 )
 from .packing import PackedCodes, pack_codes, packable_bits, unpack_codes
-from .pact import PACT, pact
+from .pact import PACT, bn_pact, pact
 from .qmodules import QConv2d, QLinear, QuantizedLayer, weight_cache_disabled
 from .quantizers import (
     QuantizerOutput,
@@ -21,7 +21,6 @@ from .quantizers import (
     symmetric_scale,
     ternary_quantize_array,
     ternary_threshold_and_scale,
-    uniform_quantize_activation,
 )
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "packable_bits",
     "unpack_codes",
     "PACT",
+    "bn_pact",
     "pact",
     "QConv2d",
     "QLinear",
@@ -51,5 +51,4 @@ __all__ = [
     "symmetric_scale",
     "ternary_quantize_array",
     "ternary_threshold_and_scale",
-    "uniform_quantize_activation",
 ]

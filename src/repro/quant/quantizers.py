@@ -1,4 +1,4 @@
-"""Weight and activation quantizers used by BMPQ.
+"""Weight quantizers used by BMPQ (activations are quantized by :mod:`.pact`).
 
 Implements the symmetric uniform quantizer of Eq. (3)-(4) of the paper, the
 ternary quantizer used for 2-bit layers (Li et al., "Ternary weight
@@ -32,7 +32,6 @@ __all__ = [
     "quantize_ternary_ste",
     "quantize_tensor_for_bits",
     "integer_levels",
-    "uniform_quantize_activation",
 ]
 
 
@@ -186,26 +185,3 @@ def quantize_tensor_for_bits(shadow: Tensor, bits: int) -> Tuple[Tensor, Quantiz
     if bits == 2:
         return quantize_ternary_ste(shadow)
     return quantize_weights_ste(shadow, bits)
-
-
-def uniform_quantize_activation(x: Tensor, bits: int, alpha: float) -> Tensor:
-    """Linear quantization of a clipped activation to ``bits`` levels (Eq. 2).
-
-    ``x`` is assumed to already lie in ``[0, alpha]`` (the PACT clipping
-    output); the backward pass is a straight-through estimator.
-    """
-    if bits >= 16:
-        return x
-    levels = 2 ** bits - 1
-    step = alpha / levels
-    quantized = get_backend().round(x.data / step) * step
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad)
-
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(quantized, requires_grad=requires)
-    if requires:
-        out._parents = (x,)
-        out._backward = backward
-    return out

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from repro.nn import Tensor
 from repro.quant import (
     integer_levels,
+    pact,
     quantize_symmetric_array,
     quantize_tensor_for_bits,
     quantize_ternary_ste,
@@ -18,7 +19,6 @@ from repro.quant import (
     symmetric_scale,
     ternary_quantize_array,
     ternary_threshold_and_scale,
-    uniform_quantize_activation,
 )
 
 
@@ -158,19 +158,22 @@ class TestDispatch:
 
 
 class TestActivationQuantization:
+    """Eq. 2 on inputs already inside ``[0, alpha]``, where PACT's clip is a no-op."""
+
     def test_levels_are_multiples_of_step(self, rng):
         alpha = 2.0
         bits = 3
         x = Tensor(rng.uniform(0, alpha, size=200).astype(np.float32), requires_grad=True)
-        out = uniform_quantize_activation(x, bits, alpha)
+        out = pact(x, Tensor(np.array([alpha], dtype=np.float32)), bits)
         step = alpha / (2 ** bits - 1)
         np.testing.assert_allclose(out.data / step, np.round(out.data / step), atol=1e-5)
 
     def test_sixteen_bits_is_identity(self, rng):
         x = Tensor(rng.uniform(0, 1, size=10).astype(np.float32))
-        assert uniform_quantize_activation(x, 16, 1.0) is x
+        out = pact(x, Tensor(np.array([1.0], dtype=np.float32)), 16)
+        assert out.data.tobytes() == x.data.tobytes()
 
     def test_ste_gradient(self, rng):
         x = Tensor(rng.uniform(0, 1, size=10).astype(np.float32), requires_grad=True)
-        uniform_quantize_activation(x, 4, 1.0).sum().backward()
+        pact(x, Tensor(np.array([1.0], dtype=np.float32)), 4).sum().backward()
         np.testing.assert_allclose(x.grad, np.ones(10))
