@@ -122,6 +122,9 @@ class FixedAssignmentTrainer:
             self.optimizer.step()
             losses.append(float(loss.item()))
             predictions = logits.data.argmax(axis=-1)
+            # Nothing of this step is read again; do not carry it into the
+            # next step's forward.
+            del logits, loss
             correct += int((predictions == targets).sum())
             total += len(targets)
         return (float(np.mean(losses)) if losses else 0.0), (correct / total if total else 0.0)

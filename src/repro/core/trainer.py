@@ -195,9 +195,6 @@ class BMPQTrainer:
         self.lr_schedule = MultiStepLR(
             self.optimizer, milestones=list(self.config.lr_milestones), gamma=self.config.lr_gamma
         )
-        # One serving engine reused for every per-epoch evaluation: the plan
-        # is traced once and only its constants refresh as weights change.
-        self._eval_engine = None
 
     # ------------------------------------------------------------------ #
     # bit-width management
@@ -253,6 +250,9 @@ class BMPQTrainer:
 
             losses.append(float(loss.item()))
             predictions = logits.data.argmax(axis=-1)
+            # Nothing of this step is read again; do not carry it into the
+            # next step's forward.
+            del logits, loss
             correct += int((predictions == targets).sum())
             total += len(targets)
         train_loss = float(np.mean(losses)) if losses else 0.0
@@ -278,6 +278,10 @@ class BMPQTrainer:
         assignments: List[Tuple[int, Dict[str, int]]] = [(0, self.current_assignment())]
         best_accuracy = 0.0
         final_accuracy = 0.0
+        # One serving engine reused for every per-epoch evaluation: the plan
+        # is traced once and only its constants refresh as weights change.
+        # It lives as long as this run, so its plan arena goes with it.
+        eval_engine = None
 
         for epoch in range(config.epochs):
             start = time.perf_counter()
@@ -299,11 +303,11 @@ class BMPQTrainer:
 
             test_acc: Optional[float] = None
             if config.evaluate_every_epoch or epoch == config.epochs - 1:
-                if self._eval_engine is None:
+                if eval_engine is None:
                     from ..serve import InferenceEngine
 
-                    self._eval_engine = InferenceEngine(self.model)
-                _, test_acc = evaluate_model(self.model, self.test_loader, engine=self._eval_engine)
+                    eval_engine = InferenceEngine(self.model)
+                _, test_acc = evaluate_model(self.model, self.test_loader, engine=eval_engine)
                 best_accuracy = max(best_accuracy, test_acc)
                 final_accuracy = test_acc
 

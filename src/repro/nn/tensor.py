@@ -9,8 +9,9 @@ PyTorch's autograd that the BMPQ paper relies on:
 * every differentiable operation creates a new :class:`Tensor` whose
   ``_backward`` closure knows how to scatter the incoming gradient to the
   operation's inputs;
-* :meth:`Tensor.backward` performs a reverse topological traversal and
-  accumulates gradients into ``Tensor.grad``;
+* :meth:`Tensor.backward` performs a reverse topological traversal,
+  accumulates gradients into ``Tensor.grad`` and releases each node once
+  its closure has run (see :meth:`Tensor.retain_grad`);
 * broadcasting is handled explicitly by :func:`unbroadcast`, so gradients of
   broadcast operands always have the operand's original shape.
 
@@ -110,6 +111,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_executor_after_fork)
 
 
+def _released_graph(grad: np.ndarray) -> None:
+    """``_backward`` of a node whose closure already ran in a ``backward()``."""
+    raise RuntimeError(
+        "backward() reached a node of a graph that an earlier backward() "
+        "already released; run the forward pass again to build a new graph"
+    )
+
+
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting.
 
@@ -152,7 +161,9 @@ class Tensor:
         messages.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "version", "_backward", "_parents")
+    __slots__ = (
+        "data", "grad", "requires_grad", "retains_grad", "name", "version", "_backward", "_parents"
+    )
 
     def __init__(
         self,
@@ -165,6 +176,7 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
+        self.retains_grad = False
         self.name = name
         self.version = 0
         self._parents: Tuple[Tensor, ...] = _parents if self.requires_grad or _parents else ()
@@ -212,6 +224,15 @@ class Tensor:
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
         self.grad = None
+
+    def retain_grad(self) -> None:
+        """Keep this tensor's ``.grad`` after :meth:`backward` releases it.
+
+        Mirrors ``torch.Tensor.retain_grad``: a leaf always keeps its
+        gradient, but backward drops a non-leaf's once the node's closure
+        has run, unless the non-leaf was marked with this call.
+        """
+        self.retains_grad = True
 
     def bump_version(self) -> int:
         """Mark the payload as changed and return the new version.
@@ -329,8 +350,12 @@ class Tensor:
         gradients are joined and added — each tensor sums its gradients in
         the same order as a fully inline pass, so the bits match — and the
         held-back nodes then run in their original order.
-        ``backward()`` returns with every ``.grad`` set; an exception raised
-        on the gradient thread is re-raised here.
+        ``backward()`` returns with every leaf's and every retained ``.grad``
+        set; the graph is released: once a node's closure has run, the node
+        drops its closure, its parents and, unless :meth:`retain_grad`
+        marked it, its ``.grad``, as PyTorch does by default.  Another
+        ``backward()`` that reaches a released node raises ``RuntimeError``.
+        An exception raised on the gradient thread is re-raised here.
 
         Parameters
         ----------
@@ -381,8 +406,13 @@ class Tensor:
                     if node in pending or node in blocked:
                         held.append(node)
                         blocked.update(node._parents)
-                    elif node._backward is not None and node.grad is not None:
-                        node._backward(node.grad)
+                    elif node._backward is not None:
+                        if node.grad is not None:
+                            node._backward(node.grad)
+                        node._backward = _released_graph
+                        node._parents = ()
+                        if not node.retains_grad:
+                            node.grad = None
                 self._join_deferred(pending)
                 nodes = held
         finally:

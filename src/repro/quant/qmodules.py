@@ -165,6 +165,9 @@ class QuantizedLayer(Module):
         """
         if is_grad_enabled() or not _WEIGHT_CACHE_ENABLED:
             qweight, info = quantize_tensor_for_bits(self.weight, self._bits)
+            # NBG reads this non-leaf's gradient after backward() released
+            # the graph (see weight_bit_gradient_inputs).
+            qweight.retain_grad()
             self.last_quant_info = info
             self.last_quantized_weight = qweight
             return qweight, info
@@ -193,7 +196,8 @@ class QuantizedLayer(Module):
 
         ``grad_wq`` is the gradient of the loss with respect to the quantized
         weights; it is read off the quantized-weight tensor produced by the
-        most recent forward pass.
+        most recent forward pass, which that pass marked with
+        ``retain_grad()`` so backward keeps its gradient.
         """
         if self.last_quantized_weight is None or self.last_quant_info is None:
             raise RuntimeError("no forward pass has been recorded for this layer yet")

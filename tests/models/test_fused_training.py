@@ -125,8 +125,11 @@ def test_resnet_backward_shares_no_gradient_memory():
     model = _model("resnet18")
     x, y = next(_batches(32))
     loss = F.cross_entropy(model(Tensor(x)), y)
-    loss.backward()
     nodes = _graph(loss)
+    # Keep every non-leaf gradient past the graph's release, to compare them.
+    for node in nodes:
+        node.retain_grad()
+    loss.backward()
     assert all(p.grad is not None for p in model.parameters())
     _assert_no_shared_grads(nodes + list(model.parameters()))
     # Padded convs hand over a view of a larger buffer; it is copied.
@@ -142,8 +145,12 @@ def test_add_fan_out_and_deferred_queue_share_no_gradient_memory():
     a = F.conv2d(x, w, padding=1)
     b = x * w.sum()  # reaches w inline, after the conv deferred its gradient
     c = a + b
-    (c + a).relu().sum().backward()
-    _assert_no_shared_grads(_graph(c) + [x, w, a, b, c])
+    root = (c + a).relu().sum()
+    nodes = _graph(root)
+    for node in nodes:
+        node.retain_grad()
+    root.backward()
+    _assert_no_shared_grads(nodes + [x, w, a, b, c])
 
 
 def test_nbg_input_survives_accumulation_and_optimizer_step():
